@@ -89,9 +89,29 @@ def _op(data: np.ndarray, parents: Sequence[Tensor], backprop: Callable[[], None
     return out
 
 
+class NonFiniteError(ValueError):
+    """An op saw a NaN or infinite input."""
+
+
 def _require_finite(t: Tensor, op: str) -> None:
     if not np.isfinite(t.data).all():
-        raise ValueError(f"{op}: non-finite input values")
+        raise NonFiniteError(f"{op}: non-finite input values")
+
+
+def _accumulate(t: Tensor, grad: np.ndarray, owned: bool = False) -> None:
+    """Add `grad` into ``t.grad``.
+
+    The first gradient of a pass is stored rather than added to zeros. It is
+    copied unless the caller `owned` it (a fresh array no one else holds),
+    because an ``out.grad``, a view of one or a broadcast can be shared by
+    several parents.
+    """
+    if t.grad is not None:
+        t.grad += grad
+    elif grad.shape != t.data.shape:
+        t.grad = np.broadcast_to(grad, t.data.shape).copy()
+    else:
+        t.grad = grad if owned else grad.copy()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -137,9 +157,10 @@ class Graph:
 def backward(loss: Tensor, graph: Graph | None = None) -> dict[Tensor, np.ndarray]:
     """Populate gradients of everything `loss` depends on.
 
-    Grads of tensors inside the graph are reset first, so repeated calls from
-    the same state are bitwise identical. Returns the gradient map for the
-    requires-grad leaves (the parameters).
+    Grads of tensors inside the graph are cleared first and each node's
+    first incoming gradient is stored, later ones added, so repeated calls
+    from the same state are bitwise identical. Returns the gradient map for
+    the requires-grad leaves (the parameters).
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -147,7 +168,7 @@ def backward(loss: Tensor, graph: Graph | None = None) -> dict[Tensor, np.ndarra
         graph = Graph(loss)
     for node in graph.nodes:
         if node.requires_grad:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
     if not loss.requires_grad:
         return {}
     loss.grad = np.ones_like(loss.data)
@@ -166,9 +187,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backprop():
         if a.requires_grad:
-            a.grad += _unbroadcast(out.grad, a.data.shape)
+            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(out.grad, b.data.shape)
+            _accumulate(b, _unbroadcast(out.grad, b.data.shape))
 
     out = _op(out_data, (a, b), backprop)
     return out
@@ -179,9 +200,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backprop():
         if a.requires_grad:
-            a.grad += _unbroadcast(out.grad, a.data.shape)
+            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
         if b.requires_grad:
-            b.grad -= _unbroadcast(out.grad, b.data.shape)
+            _accumulate(b, -_unbroadcast(out.grad, b.data.shape), owned=True)
 
     out = _op(out_data, (a, b), backprop)
     return out
@@ -192,9 +213,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backprop():
         if a.requires_grad:
-            a.grad += _unbroadcast(out.grad * b.data, a.data.shape)
+            _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            b.grad += _unbroadcast(out.grad * a.data, b.data.shape)
+            _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape), owned=True)
 
     out = _op(out_data, (a, b), backprop)
     return out
@@ -203,7 +224,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def neg(a: Tensor) -> Tensor:
     def backprop():
         if a.requires_grad:
-            a.grad -= out.grad
+            _accumulate(a, -out.grad, owned=True)
 
     out = _op(-a.data, (a,), backprop)
     return out
@@ -214,7 +235,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def backprop():
         if a.requires_grad:
-            a.grad += c * out.grad
+            _accumulate(a, c * out.grad, owned=True)
 
     out = _op(c * a.data, (a,), backprop)
     return out
@@ -229,65 +250,132 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backprop():
         if a.requires_grad:
-            a.grad += out.grad @ b.data.T
+            _accumulate(a, out.grad @ b.data.T, owned=True)
         if b.requires_grad:
-            b.grad += a.data.T @ out.grad
+            _accumulate(b, a.data.T @ out.grad, owned=True)
 
     out = _op(out_data, (a, b), backprop)
     return out
 
 
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def backprop():
-        if a.requires_grad:
-            a.grad += (1.0 - y * y) * out.grad
-
-    out = _op(y, (a,), backprop)
-    return out
+# Each activation is (forward(x, out=None), grad(y, out_grad)); the gradient
+# is written in terms of the output y, so the input need not be kept.
 
 
-def relu(a: Tensor) -> Tensor:
-    y = np.maximum(a.data, 0.0)
-
-    def backprop():
-        if a.requires_grad:
-            a.grad += (a.data > 0.0) * out.grad
-
-    out = _op(y, (a,), backprop)
-    return out
+def _tanh_grad(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    d = y * y
+    np.subtract(1.0, d, out=d)
+    d *= grad
+    return d
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _relu_forward(x: np.ndarray, out=None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
+
+
+def _relu_grad(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    return (y > 0.0) * grad
+
+
+def _sigmoid_forward(x: np.ndarray, out=None) -> np.ndarray:
     """Numerically stable logistic, clamped into [PROB_EPS, 1-PROB_EPS].
 
     The clamp keeps outputs strictly inside (0, 1) even for inputs like
     +-1e6 where float64 would round to exactly 0 or 1.
     """
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    y = np.clip(y, PROB_EPS, 1.0 - PROB_EPS)
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.clip(y, PROB_EPS, 1.0 - PROB_EPS, out=out)
+
+
+def _sigmoid_grad(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    d = 1.0 - y
+    d *= y
+    d *= grad
+    return d
+
+
+_ACTIVATIONS = {
+    "tanh": (np.tanh, _tanh_grad),
+    "relu": (_relu_forward, _relu_grad),
+    "sigmoid": (_sigmoid_forward, _sigmoid_grad),
+}
+
+
+def _activation_fns(kind: str):
+    try:
+        return _ACTIVATIONS[kind]
+    except KeyError:
+        raise ValueError(f"unknown activation kind {kind!r}") from None
+
+
+def _elementwise(a: Tensor, kind: str) -> Tensor:
+    forward, grad_of = _ACTIVATIONS[kind]
+    y = forward(a.data)
 
     def backprop():
         if a.requires_grad:
-            a.grad += y * (1.0 - y) * out.grad
+            _accumulate(a, grad_of(y, out.grad), owned=True)
 
     out = _op(y, (a,), backprop)
     return out
 
 
-_ACTIVATIONS = {"tanh": tanh, "relu": relu, "sigmoid": sigmoid}
+def tanh(a: Tensor) -> Tensor:
+    return _elementwise(a, "tanh")
+
+
+def relu(a: Tensor) -> Tensor:
+    return _elementwise(a, "relu")
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    """Logistic clamped into [PROB_EPS, 1-PROB_EPS], strictly inside (0, 1)."""
+    return _elementwise(a, "sigmoid")
 
 
 def activation(t: Tensor, kind: str) -> Tensor:
     """Elementwise nonlinearity, one of tanh / relu / sigmoid."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation kind {kind!r}") from None
+    _activation_fns(kind)
     _require_finite(t, f"activation[{kind}]")
-    return fn(t)
+    return _elementwise(t, kind)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
+    """``act(x @ w + b)`` as one graph node; `act` None keeps it linear.
+
+    Output and gradients equal the matmul -> add -> activation chain
+    bitwise, and the same finiteness checks run: on the matmul inputs, and on
+    the pre-activation when there is an activation. The bias gradient is
+    the column sum of the pre-activation gradient.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"dense shape mismatch: {x.data.shape} x {w.data.shape}")
+    if b.data.shape != (w.data.shape[1],):
+        raise ValueError(f"dense bias shape {b.data.shape}, expected ({w.data.shape[1]},)")
+    grad_of = None
+    if act is not None:
+        forward, grad_of = _activation_fns(act)
+    _require_finite(x, "dense")
+    _require_finite(w, "dense")
+    y = x.data @ w.data
+    y += b.data
+    if act is not None:
+        if not np.isfinite(y).all():
+            raise NonFiniteError(f"dense[{act}]: non-finite pre-activation values")
+        forward(y, out=y)
+
+    def backprop():
+        g = out.grad if grad_of is None else grad_of(y, out.grad)
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T, owned=True)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g, owned=True)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0), owned=True)
+
+    out = _op(y, (x, w, b), backprop)
+    return out
 
 
 def exp(a: Tensor) -> Tensor:
@@ -295,7 +383,7 @@ def exp(a: Tensor) -> Tensor:
 
     def backprop():
         if a.requires_grad:
-            a.grad += y * out.grad
+            _accumulate(a, y * out.grad, owned=True)
 
     out = _op(y, (a,), backprop)
     return out
@@ -307,7 +395,7 @@ def log(a: Tensor) -> Tensor:
 
     def backprop():
         if a.requires_grad:
-            a.grad += out.grad / a.data
+            _accumulate(a, out.grad / a.data, owned=True)
 
     out = _op(np.log(a.data), (a,), backprop)
     return out
@@ -316,7 +404,7 @@ def log(a: Tensor) -> Tensor:
 def square(a: Tensor) -> Tensor:
     def backprop():
         if a.requires_grad:
-            a.grad += 2.0 * a.data * out.grad
+            _accumulate(a, 2.0 * a.data * out.grad, owned=True)
 
     out = _op(a.data * a.data, (a,), backprop)
     return out
@@ -328,7 +416,7 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
     def backprop():
         if a.requires_grad:
-            a.grad += mask * out.grad
+            _accumulate(a, mask * out.grad, owned=True)
 
     out = _op(np.clip(a.data, lo, hi), (a,), backprop)
     return out
@@ -337,7 +425,7 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 def tsum(a: Tensor) -> Tensor:
     def backprop():
         if a.requires_grad:
-            a.grad += out.grad.reshape(())
+            _accumulate(a, out.grad.reshape(()))
 
     out = _op(np.asarray(a.data.sum()), (a,), backprop)
     return out
@@ -348,7 +436,7 @@ def tmean(a: Tensor) -> Tensor:
 
     def backprop():
         if a.requires_grad:
-            a.grad += out.grad.reshape(()) / n
+            _accumulate(a, out.grad.reshape(()) / n)
 
     out = _op(np.asarray(a.data.mean()), (a,), backprop)
     return out
@@ -363,9 +451,9 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
         for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
                 if axis == 1:
-                    p.grad += out.grad[:, start:stop]
+                    _accumulate(p, out.grad[:, start:stop])
                 else:
-                    p.grad += out.grad[start:stop]
+                    _accumulate(p, out.grad[start:stop])
 
     out = _op(np.concatenate([p.data for p in parts], axis=axis), parts, backprop)
     return out
@@ -377,6 +465,8 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
     def backprop():
         if a.requires_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
             a.grad[:, start:stop] += out.grad
 
     out = _op(a.data[:, start:stop].copy(), (a,), backprop)
@@ -398,7 +488,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         if logits.requires_grad:
             soft = np.exp(z - lse)
             soft[rows, labels] -= 1.0
-            logits.grad += soft * (out.grad.reshape(()) / z.shape[0])
+            _accumulate(logits, soft * (out.grad.reshape(()) / z.shape[0]), owned=True)
 
     out = _op(np.asarray(loss), (logits,), backprop)
     return out

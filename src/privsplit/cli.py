@@ -66,6 +66,7 @@ from .objectives import (
 from .p3 import p3_encode, serialize_secret
 from .training import (
     TrainConfig,
+    TrainingDivergedError,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -356,7 +357,7 @@ def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
     marks = {0, 100, 500, tcfg.iterations}
     bundle, history = train(dataset.features[dataset.train_idx], tcfg,
                             snapshot_iters=marks, snapshot_fn=snap)
-    save_checkpoint(bundle, history, outdir / "checkpoint.json")
+    save_checkpoint(bundle, history, outdir / "checkpoint.npz")
     write_history_csv(history, outdir / "history.csv")
     scatter_report(plot_x.data, plot_labels, snapshots_enc, snapshots_rec,
                    csv_path=outdir / "scatter.csv", svg_path=outdir / "scatter.svg")
@@ -378,7 +379,7 @@ def cmd_train_image(config: dict, outdir: Path, seed: int) -> int:
                              default_perceptual=True)
     write_run_files(outdir, "train-image", config, tcfg.seed)
     bundle, history = train(dataset.features[dataset.train_idx], tcfg)
-    save_checkpoint(bundle, history, outdir / "checkpoint.json")
+    save_checkpoint(bundle, history, outdir / "checkpoint.npz")
     write_history_csv(history, outdir / "history.csv")
     held = Tensor(dataset.features[dataset.heldout_idx])
     peak = float(dataset.features.max() - dataset.features.min())
@@ -665,6 +666,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except TrainingDivergedError as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,17 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    add,
-    backward,
-    matmul,
-    sigmoid,
-    softmax_cross_entropy,
-    tanh,
-    tmean,
-)
+from .autodiff import Tensor, backward, sigmoid, softmax_cross_entropy, tmean
 from .datasets import LabeledDataset
+from .models import _init_mlp, _mlp_forward
 from .objectives import bce
 from .optim import Adam
 from .svgplot import Panel, cluster_color, scatter_grid
@@ -55,36 +47,16 @@ class AttackConfig:
     seed: int = 0
 
 
-def _init_classifier(rng, widths: list[int]) -> list[Tensor]:
-    params = []
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        params.append(Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
-                             requires_grad=True))
-        params.append(Tensor(np.zeros(fan_out), requires_grad=True))
-    return params
-
-
-def _classifier_forward(params: list[Tensor], x: Tensor) -> Tensor:
-    h = x
-    pairs = [(params[i], params[i + 1]) for i in range(0, len(params), 2)]
-    for i, (w, b) in enumerate(pairs):
-        h = add(matmul(h, w), b)
-        if i < len(pairs) - 1:
-            h = tanh(h)
-    return h
-
-
 def _train_classifier(features, labels, out_width, loss_kind, config: AttackConfig):
     rng = np.random.default_rng(config.seed)
     widths = [features.shape[1], config.hidden_width, config.hidden_width, out_width]
-    params = _init_classifier(rng, widths)
-    opt = Adam(params, alpha=config.alpha)
+    layers = _init_mlp(rng, widths)
+    opt = Adam([t for layer in layers for t in (layer.w, layer.b)], alpha=config.alpha)
     n = features.shape[0]
     for _ in range(config.iterations):
         idx = rng.integers(0, n, size=config.batch_size)
         x = Tensor(features[idx])
-        logits = _classifier_forward(params, x)
+        logits = _mlp_forward(layers, x)
         if loss_kind == "softmax":
             loss = softmax_cross_entropy(logits, labels[idx])
         else:
@@ -94,7 +66,7 @@ def _train_classifier(features, labels, out_width, loss_kind, config: AttackConf
                          + bce(probs, 0) * Tensor(1.0 - targets))
         backward(loss)
         opt.step()
-    return params
+    return layers
 
 
 def attack_train_eval(encrypted: LabeledDataset, config: AttackConfig | None = None) -> float:
@@ -104,9 +76,9 @@ def attack_train_eval(encrypted: LabeledDataset, config: AttackConfig | None = N
         raise ValueError("attack needs at least 2 classes")
     train_x = encrypted.features[encrypted.train_idx]
     train_y = encrypted.labels[encrypted.train_idx]
-    params = _train_classifier(train_x, train_y, encrypted.class_count, "softmax", config)
+    layers = _train_classifier(train_x, train_y, encrypted.class_count, "softmax", config)
     held_x = Tensor(encrypted.features[encrypted.heldout_idx])
-    logits = _classifier_forward(params, held_x)
+    logits = _mlp_forward(layers, held_x)
     predicted = logits.data.argmax(axis=1)
     return float((predicted == encrypted.labels[encrypted.heldout_idx]).mean())
 
@@ -129,8 +101,8 @@ def separability(recon_samples, encrypted_samples, config: AttackConfig | None =
     order = rng.permutation(x.shape[0])
     x, y = x[order], y[order]
     cut = max(1, x.shape[0] // 10)
-    params = _train_classifier(x[cut:], y[cut:], 1, "bce", config)
-    probs = sigmoid(_classifier_forward(params, Tensor(x[:cut]))).data[:, 0]
+    layers = _train_classifier(x[cut:], y[cut:], 1, "bce", config)
+    probs = sigmoid(_mlp_forward(layers, Tensor(x[:cut]))).data[:, 0]
     return float(((probs > 0.5).astype(np.int64) == y[:cut]).mean())
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .autodiff import Tensor, activation, add, concat, matmul, slice_cols
+from .autodiff import Tensor, add, concat, dense, slice_cols
 
 
 @dataclass
@@ -114,42 +114,51 @@ def _init_mlp(rng, widths: list[int], trainable: bool = True) -> list[Layer]:
     return [_init_layer(rng, a, b, trainable) for a, b in zip(widths[:-1], widths[1:])]
 
 
-def build_models(config: ModelConfig) -> ModelBundle:
-    """Initialize all networks from the config's seed.
+def network_widths(config: ModelConfig) -> dict[str, list[int]]:
+    """Layer widths of each network, input first.
 
-    Encoder in-128-128, decoder 128-128-out, five fully-connected layers for
-    the discriminator, and a frozen two-layer feature network.
+    Encoder in-fw-fw, decoder fw-fw-in, `disc_layers` fully-connected
+    discriminator layers ending in one unit, and a two-layer feature network.
     """
     if not (0 < config.privacy_width < config.feature_width):
         raise ValueError(
             f"privacy width must be strictly between 0 and the feature width "
             f"{config.feature_width}, got {config.privacy_width}")
+    fw = config.feature_width
+    return {
+        "encoder": [config.input_width, fw, fw],
+        "decoder": [fw, fw, config.input_width],
+        "discriminator": ([config.input_width]
+                          + [config.disc_hidden] * (config.disc_layers - 1)
+                          + [1]),
+        "perceptual": [config.input_width, config.perceptual_width, config.perceptual_width],
+    }
+
+
+def build_models(config: ModelConfig) -> ModelBundle:
+    """Initialize all networks, shaped by :func:`network_widths`, from the config's seed.
+
+    The perceptual network is frozen.
+    """
+    widths = network_widths(config)
     streams = np.random.SeedSequence(config.seed).spawn(4)
     rngs = [np.random.default_rng(s) for s in streams]
-    fw = config.feature_width
-    disc_widths = ([config.input_width]
-                   + [config.disc_hidden] * (config.disc_layers - 1)
-                   + [1])
     return ModelBundle(
-        encoder=_init_mlp(rngs[0], [config.input_width, fw, fw]),
-        decoder=_init_mlp(rngs[1], [fw, fw, config.input_width]),
-        discriminator=_init_mlp(rngs[2], disc_widths),
-        perceptual=_init_mlp(
-            rngs[3], [config.input_width, config.perceptual_width, config.perceptual_width],
-            trainable=False),
+        encoder=_init_mlp(rngs[0], widths["encoder"]),
+        decoder=_init_mlp(rngs[1], widths["decoder"]),
+        discriminator=_init_mlp(rngs[2], widths["discriminator"]),
+        perceptual=_init_mlp(rngs[3], widths["perceptual"], trainable=False),
         config=config,
     )
 
 
 def _mlp_forward(layers: list[Layer], x: Tensor, hidden: str = "tanh",
                  final: str | None = None) -> Tensor:
+    """Dense layers with `hidden` between them and `final` (or none) after the last."""
     h = x
+    last = len(layers) - 1
     for i, layer in enumerate(layers):
-        h = add(matmul(h, layer.w), layer.b)
-        if i < len(layers) - 1:
-            h = activation(h, hidden)
-    if final is not None:
-        h = activation(h, final)
+        h = dense(h, layer.w, layer.b, hidden if i < last else final)
     return h
 
 

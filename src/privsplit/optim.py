@@ -1,4 +1,4 @@
-"""Adam optimizer, functional core plus a thin stateful wrapper."""
+"""Adam optimizer: the functional reference step and a flat in-place optimizer."""
 
 from __future__ import annotations
 
@@ -45,20 +45,51 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> tuple[
 
 
 class Adam:
-    """Applies :func:`adam_step` to a list of parameter tensors in place."""
+    """Adam over a list of parameter tensors, updated in place.
+
+    At construction each tensor's ``data`` becomes a view into one flat
+    buffer, and the moments are one flat ``m`` and ``v``. A step gathers the
+    gradients (None counts as zero) and runs :func:`adam_step`'s arithmetic
+    in its exact order over the whole buffer, so the parameters equal a
+    per-tensor :func:`adam_step` bitwise.
+    """
 
     def __init__(self, params: list[Tensor], alpha: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, epsilon: float = 1e-8):
         self.params = list(params)
-        self.states = [AdamState.init(p.data.size, alpha, beta1, beta2, epsilon)
-                       for p in self.params]
+        self.alpha, self.beta1, self.beta2, self.epsilon = alpha, beta1, beta2, epsilon
+        self.step_count = 0
+        bounds = np.cumsum([0] + [p.data.size for p in self.params])
+        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._flat = np.empty(bounds[-1])
+        for p, part in zip(self.params, self._slices):
+            self._flat[part] = p.data.reshape(-1)
+            p.data = self._flat[part].reshape(p.data.shape)
+        self.m = np.zeros_like(self._flat)
+        self.v = np.zeros_like(self._flat)
+        self._grad = np.empty_like(self._flat)
+        self._tmp = np.empty_like(self._flat)
 
     def step(self) -> None:
-        for i, p in enumerate(self.params):
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            new_flat, self.states[i] = adam_step(
-                p.data.reshape(-1), grad.reshape(-1), self.states[i])
-            p.data = new_flat.reshape(p.data.shape)
+        g, tmp, m, v = self._grad, self._tmp, self.m, self.v
+        for p, part in zip(self.params, self._slices):
+            g[part] = 0.0 if p.grad is None else p.grad.reshape(-1)
+        self.step_count += 1
+        t = self.step_count
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(m, 1.0 - self.beta1 ** t, out=tmp)  # m_hat
+        np.divide(v, 1.0 - self.beta2 ** t, out=g)  # v_hat; the gradients are spent
+        np.sqrt(g, out=g)
+        g += self.epsilon
+        tmp *= self.alpha
+        tmp /= g
+        self._flat -= tmp
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -7,20 +7,41 @@ the encryption model, and the reconstruction terms have no discriminator
 path, so a single backward pass at the iteration-start parameters yields
 both networks' exact gradients. The Adam updates are then applied in
 discriminator-then-generator order.
+
+Checkpoint format, version 2: an uncompressed numpy ``.npz`` archive, read
+with ``allow_pickle=False``, written to exactly the path it is given.
+
+- ``header``: a uint8 array holding UTF-8 JSON with ``magic``
+  (``"privsplit-checkpoint"``), ``version`` (2), ``model_config`` (the
+  :class:`~privsplit.models.ModelConfig` fields), ``layers`` (the layer
+  count of each network) and ``history`` (the :class:`TrainHistory`
+  lists; ``null`` where an ablation has no adversarial term).
+- ``<network>.<i>.w`` and ``<network>.<i>.b`` for ``network`` in encoder,
+  decoder, discriminator and perceptual and layer ``i`` from 0: raw
+  float64 weights of shape (fan_in, fan_out) and biases of shape
+  (fan_out,), so values round-trip exactly.
+
+Loading checks that every array is present, float64, finite and shaped as
+``model_config`` implies (:func:`~privsplit.models.network_widths`). A bad
+file raises :class:`MalformedCheckpointError`; a version-1 JSON checkpoint
+or any other version raises :class:`CheckpointVersionError`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+import tokenize
+import zipfile
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .autodiff import Tensor, backward, square, tmean
+from .autodiff import NonFiniteError, Tensor, backward, square, tmean
 from .models import (
+    Layer,
     ModelBundle,
     ModelConfig,
     NoiseSpec,
@@ -30,13 +51,16 @@ from .models import (
     encode,
     fake_privacy,
     merge,
+    network_widths,
     perceptual_features,
 )
 from .objectives import generator_adversarial_loss, reconstruction_loss
 from .optim import Adam
 
 CHECKPOINT_MAGIC = "privsplit-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_NETWORKS = ("encoder", "decoder", "discriminator", "perceptual")
+_ZIP_MAGIC = b"PK\x03\x04"
 
 ABLATIONS = ("full", "no_collaborative", "msednet")
 
@@ -113,7 +137,6 @@ class TrainHistory:
     l_recon_mse: list[float] = field(default_factory=list)
     l_perceptual: list[float] = field(default_factory=list)
     l_g_total: list[float] = field(default_factory=list)
-    checkpoint_iterations: list[int] = field(default_factory=list)
 
     def append(self, iteration, l_d, l_g_ad, l_recon_mse, l_perceptual, l_g_total):
         self.iterations.append(iteration)
@@ -220,11 +243,9 @@ def train(dataset, config: TrainConfig,
                 total = recon_combined - encrypted_distance
                 l_ad_val = None
                 l_d_val = None
-        except ValueError as exc:
-            if "non-finite" in str(exc):
-                raise TrainingDivergedError(
-                    f"non-finite values in forward pass at iteration {i}: {exc}") from exc
-            raise
+        except NonFiniteError as exc:
+            raise TrainingDivergedError(
+                f"non-finite values in forward pass at iteration {i}: {exc}") from exc
 
         total_val = total.item()
         mse_val = recon_mse.item()
@@ -281,88 +302,127 @@ def train_msednet(dataset, config: TrainConfig, **kwargs):
 # checkpoints
 
 
-def _layers_to_json(layers) -> list[dict]:
-    return [{"shape": list(l.w.data.shape),
-             "w": l.w.data.reshape(-1).tolist(),
-             "b": l.b.data.tolist()} for l in layers]
-
-
-def _layers_from_json(records, trainable: bool) -> list:
-    from .models import Layer  # local import keeps module load order simple
-
-    layers = []
-    for rec in records:
-        shape = tuple(rec["shape"])
-        w = np.asarray(rec["w"], dtype=np.float64)
-        b = np.asarray(rec["b"], dtype=np.float64)
-        if w.size != shape[0] * shape[1] or b.size != shape[1]:
-            raise MalformedCheckpointError(
-                f"layer of shape {shape} carries {w.size} weights / {b.size} biases")
-        layers.append(Layer(Tensor(w.reshape(shape), requires_grad=trainable),
-                            Tensor(b, requires_grad=trainable)))
-    return layers
-
-
 def save_checkpoint(bundle: ModelBundle, history: TrainHistory, path) -> None:
-    doc = {
+    """Write a version-2 checkpoint (layout in the module docstring) to `path`."""
+    arrays = {}
+    for net in _NETWORKS:
+        for i, layer in enumerate(getattr(bundle, net)):
+            arrays[f"{net}.{i}.w"] = layer.w.data
+            arrays[f"{net}.{i}.b"] = layer.b.data
+    header = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
         "model_config": asdict(bundle.config),
-        "networks": {
-            "encoder": _layers_to_json(bundle.encoder),
-            "decoder": _layers_to_json(bundle.decoder),
-            "discriminator": _layers_to_json(bundle.discriminator),
-            "perceptual": _layers_to_json(bundle.perceptual),
-        },
-        "history": {
-            "iterations": history.iterations,
-            "l_d": history.l_d,
-            "l_g_ad": history.l_g_ad,
-            "l_recon_mse": history.l_recon_mse,
-            "l_perceptual": history.l_perceptual,
-            "l_g_total": history.l_g_total,
-            "checkpoint_iterations": history.checkpoint_iterations,
-        },
+        "layers": {net: len(getattr(bundle, net)) for net in _NETWORKS},
+        "history": {f.name: getattr(history, f.name) for f in fields(history)},
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:  # a file handle keeps numpy from adding ".npz"
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path) -> tuple[ModelBundle, TrainHistory]:
-    with open(path, "r", encoding="ascii") as fh:
+    """Read and validate a version-2 checkpoint written by :func:`save_checkpoint`."""
+    with open(path, "rb") as fh:
+        if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+            fh.seek(0)
+            raise _non_archive_error(fh.read())
+        fh.seek(0)
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedCheckpointError(f"not a checkpoint file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("magic") != CHECKPOINT_MAGIC:
-        raise MalformedCheckpointError("missing checkpoint magic")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"checkpoint version {doc.get('version')!r}, expected {CHECKPOINT_VERSION}")
+            with np.load(fh, allow_pickle=False) as archive:
+                header = _read_header(archive)
+                config, widths = _checked_config(header)
+                layers = {net: _read_layers(archive, net, widths[net], net != "perceptual")
+                          for net in _NETWORKS}
+        # what zipfile raises on a damaged archive: short reads, bad CRCs, and
+        # header bytes that claim encryption, a newer zip version or compression
+        except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError) as exc:
+            raise MalformedCheckpointError(f"checkpoint archive is unreadable: {exc}") from exc
+    return ModelBundle(config=config, **layers), _read_history(header)
+
+
+def _non_archive_error(blob: bytes) -> ValueError:
+    """Name the version of an old JSON checkpoint; anything else is malformed."""
     try:
-        config = ModelConfig(**doc["model_config"])
-        nets = doc["networks"]
-        bundle = ModelBundle(
-            encoder=_layers_from_json(nets["encoder"], True),
-            decoder=_layers_from_json(nets["decoder"], True),
-            discriminator=_layers_from_json(nets["discriminator"], True),
-            perceptual=_layers_from_json(nets["perceptual"], False),
-            config=config,
-        )
-        h = doc["history"]
-        history = TrainHistory(
-            iterations=list(h["iterations"]),
-            l_d=list(h["l_d"]),
-            l_g_ad=list(h["l_g_ad"]),
-            l_recon_mse=list(h["l_recon_mse"]),
-            l_perceptual=list(h["l_perceptual"]),
-            l_g_total=list(h["l_g_total"]),
-            checkpoint_iterations=list(h.get("checkpoint_iterations", [])),
-        )
+        doc = json.loads(blob)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict) and doc.get("magic") == CHECKPOINT_MAGIC:
+        return CheckpointVersionError(
+            f"checkpoint version {doc.get('version')!r} is a JSON file and is no longer read; "
+            f"expected version {CHECKPOINT_VERSION} (.npz)")
+    return MalformedCheckpointError("not a checkpoint file: missing checkpoint magic")
+
+
+def _member(archive, name: str) -> np.ndarray:
+    try:
+        return archive[name]
+    except KeyError:
+        raise MalformedCheckpointError(f"checkpoint has no array {name!r}") from None
+    # a damaged .npy member or one that needs pickle; numpy's fallback parser
+    # for a garbled version-1.0 .npy header raises TokenError
+    except (ValueError, tokenize.TokenError) as exc:
+        raise MalformedCheckpointError(f"checkpoint array {name!r} is unreadable: {exc}") from exc
+
+
+def _read_header(archive) -> dict:
+    raw = _member(archive, "header")
+    try:
+        if raw.dtype != np.uint8 or raw.ndim != 1:
+            raise ValueError(f"header array is {raw.dtype} of shape {raw.shape}")
+        header = json.loads(raw.tobytes().decode("utf-8"))
+    except ValueError as exc:
+        raise MalformedCheckpointError(f"checkpoint header is not JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("magic") != CHECKPOINT_MAGIC:
+        raise MalformedCheckpointError("missing checkpoint magic")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointVersionError(
+            f"checkpoint version {header.get('version')!r}, expected {CHECKPOINT_VERSION}")
+    return header
+
+
+def _checked_config(header: dict) -> tuple[ModelConfig, dict[str, list[int]]]:
+    """The model config and its network widths; layer counts must agree."""
+    try:
+        config = ModelConfig(**header["model_config"])
+        widths = network_widths(config)
+        counts = {net: header["layers"][net] for net in _NETWORKS}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedCheckpointError(f"checkpoint header is invalid: {exc!r}") from exc
+    for net in _NETWORKS:
+        if counts[net] != len(widths[net]) - 1:
+            raise MalformedCheckpointError(
+                f"{net} has {counts[net]!r} layers, model_config implies {len(widths[net]) - 1}")
+    return config, widths
+
+
+def _read_layers(archive, net: str, widths: list[int], trainable: bool) -> list[Layer]:
+    layers = []
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        arrays = []
+        for part, shape in (("w", (fan_in, fan_out)), ("b", (fan_out,))):
+            name = f"{net}.{i}.{part}"
+            a = _member(archive, name)
+            if a.dtype != np.float64 or a.shape != shape:
+                raise MalformedCheckpointError(
+                    f"{name} is {a.dtype} of shape {a.shape}; model_config implies "
+                    f"float64 of shape {shape}")
+            if not np.isfinite(a).all():
+                raise MalformedCheckpointError(f"{name} has non-finite values")
+            arrays.append(Tensor(a, requires_grad=trainable))
+        layers.append(Layer(*arrays))
+    return layers
+
+
+def _read_history(header: dict) -> TrainHistory:
+    names = [f.name for f in fields(TrainHistory)]
+    try:
+        columns = {name: list(header["history"][name]) for name in names}
     except (KeyError, TypeError) as exc:
-        raise MalformedCheckpointError(f"checkpoint is missing fields: {exc}") from exc
-    return bundle, history
+        raise MalformedCheckpointError(f"checkpoint history is invalid: {exc!r}") from exc
+    if len({len(column) for column in columns.values()}) != 1:
+        raise MalformedCheckpointError("checkpoint history columns differ in length")
+    return TrainHistory(**columns)
 
 
 HISTORY_COLUMNS = ("iteration", "l_D", "l_G_ad", "l_recon_mse", "l_perceptual", "l_G_total")

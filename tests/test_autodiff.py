@@ -3,11 +3,14 @@ import pytest
 
 from privsplit.autodiff import (
     Graph,
+    NonFiniteError,
     Tensor,
     activation,
+    add,
     backward,
     clamp,
     concat,
+    dense,
     grad_check,
     matmul,
     relu,
@@ -68,6 +71,48 @@ class TestActivations:
     def test_dispatch_matches_direct(self):
         x = Tensor([[-1.0, 0.5, 2.0]])
         assert np.array_equal(activation(x, "tanh").data, tanh(x).data)
+
+
+class TestDense:
+    @pytest.mark.parametrize("act", ["tanh", "relu", "sigmoid", None])
+    def test_equals_matmul_add_activation_chain_bitwise(self, act):
+        rng = np.random.default_rng(11)
+        x0, w0, b0 = (rng.standard_normal(s) for s in ((16, 5), (5, 7), (7,)))
+        weights = Tensor(rng.standard_normal((16, 7)))
+
+        def run(layer):
+            x, w, b = (Tensor(v.copy(), requires_grad=True) for v in (x0, w0, b0))
+            out = layer(x, w, b)
+            backward(tsum(out * weights))
+            return [out.data, x.grad, w.grad, b.grad]
+
+        def chain(x, w, b):
+            h = add(matmul(x, w), b)
+            return h if act is None else activation(h, act)
+
+        fused = run(lambda x, w, b: dense(x, w, b, act))
+        for got, want in zip(fused, run(chain)):
+            assert np.array_equal(got, want)
+
+    def test_one_node_per_layer(self):
+        x = Tensor(np.ones((2, 3)))
+        w = Tensor(np.ones((3, 4)), requires_grad=True)
+        b = Tensor(np.zeros(4), requires_grad=True)
+        assert len(Graph(tsum(dense(x, w, b, "tanh")))) == 5  # x, w, b, dense, sum
+
+    def test_non_finite_input_is_typed(self):
+        w = Tensor(np.ones((2, 2)))
+        with pytest.raises(NonFiniteError, match="dense"):
+            dense(Tensor([[np.nan, 0.0]]), w, Tensor(np.zeros(2)), "tanh")
+
+    def test_overflowing_pre_activation_is_typed(self):
+        w = Tensor(np.full((2, 1), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="pre-activation"):
+            dense(Tensor([[1e308, 1e308]]), w, Tensor(np.zeros(1)), "relu")
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ValueError, match="bias"):
+            dense(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.zeros(3)))
 
 
 class TestBackward:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +93,12 @@ class TestTrainBasics:
               snapshot_iters={0, 4, 10}, snapshot_fn=lambda i, b: seen.append(i))
         assert seen == [0, 4, 10]
 
+    def test_non_finite_input_is_divergence(self):
+        data = small_blobs()
+        data[:, 0] = np.nan
+        with pytest.raises(TrainingDivergedError, match="iteration 0"):
+            train(data, quick_config(iterations=3))
+
     def test_divergence_reports_term_and_iteration(self):
         # a catastophic learning rate overflows the linear decoder quickly
         cfg = quick_config(ablation="no_collaborative", alpha=1e155, iterations=10)
@@ -182,6 +189,24 @@ class TestTrainConfigValidation:
             TrainConfig(iterations=1, privacy_proportion=Fraction(3, 2))
 
 
+def saved_checkpoint(tmp_path, name="model.ckpt"):
+    bundle, history = train(small_blobs(), quick_config(iterations=2))
+    path = tmp_path / name
+    save_checkpoint(bundle, history, path)
+    return path
+
+
+def rewrite_checkpoint(path, edit):
+    """Let `edit(header, arrays)` change a saved checkpoint in place."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    header = json.loads(arrays["header"].tobytes())
+    edit(header, arrays)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 class TestCheckpoints:
     def test_round_trip_reproduces_forward_outputs_bitwise(self, tmp_path):
         data = small_blobs()
@@ -207,23 +232,87 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_version_bump_is_distinct_error(self, tmp_path):
-        import json
-
-        data = small_blobs()
-        bundle, history = train(data, quick_config(iterations=2))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(bundle, history, path)
-        doc = json.loads(path.read_text())
-        doc["version"] = 999
-        path.write_text(json.dumps(doc))
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: header.update(version=999))
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(path)
 
     def test_wrong_magic_is_malformed(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_text('{"magic": "something-else", "version": 1}')
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: header.update(magic="something-else"))
         with pytest.raises(MalformedCheckpointError, match="magic"):
             load_checkpoint(path)
+
+    def test_version_1_json_names_its_version(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text('{"magic": "privsplit-checkpoint", "version": 1, "networks": {}}')
+        with pytest.raises(CheckpointVersionError, match="version 1"):
+            load_checkpoint(path)
+
+    def test_non_checkpoint_text_is_malformed(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("not a checkpoint")
+        with pytest.raises(MalformedCheckpointError):
+            load_checkpoint(path)
+
+    def test_missing_array_is_malformed(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: arrays.pop("decoder.1.b"))
+        with pytest.raises(MalformedCheckpointError, match="decoder.1.b"):
+            load_checkpoint(path)
+
+    def test_non_finite_weight_is_malformed(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+
+        def poison(header, arrays):
+            arrays["encoder.0.w"] = arrays["encoder.0.w"].copy()
+            arrays["encoder.0.w"][0, 0] = np.nan
+
+        rewrite_checkpoint(path, poison)
+        with pytest.raises(MalformedCheckpointError, match="non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("input_width", 3, "encoder.0.w"),
+        ("feature_width", 64, "encoder.0.w"),
+        ("disc_hidden", 16, "discriminator.0.w"),
+        ("perceptual_width", 8, "perceptual.0.w"),
+    ])
+    def test_layer_shape_must_match_model_config(self, tmp_path, field, value, name):
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: header["model_config"].update(
+            {field: value}))
+        with pytest.raises(MalformedCheckpointError, match=name):
+            load_checkpoint(path)
+
+    def test_decoder_output_width_checked(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: arrays.update(
+            {"decoder.1.w": arrays["decoder.1.w"][:, :1].copy()}))
+        with pytest.raises(MalformedCheckpointError, match="decoder.1.w"):
+            load_checkpoint(path)
+
+    def test_layer_count_must_match_model_config(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: header["model_config"].update(
+            disc_layers=4))
+        with pytest.raises(MalformedCheckpointError, match="discriminator"):
+            load_checkpoint(path)
+
+    def test_save_load_save_gives_identical_arrays(self, tmp_path):
+        first = saved_checkpoint(tmp_path)
+        second = tmp_path / "again.ckpt"
+        save_checkpoint(*load_checkpoint(first), second)
+        with np.load(first, allow_pickle=False) as a, np.load(second, allow_pickle=False) as b:
+            assert sorted(a.files) == sorted(b.files)
+            for name in a.files:
+                assert a[name].dtype == b[name].dtype
+                assert np.array_equal(a[name], b[name])
+
+    def test_file_lands_at_the_given_path(self, tmp_path):
+        path = saved_checkpoint(tmp_path, name="checkpoint.json")
+        assert path.is_file()
+        assert not (tmp_path / "checkpoint.json.npz").exists()
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
