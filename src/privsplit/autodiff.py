@@ -5,6 +5,12 @@ broadcasting limited to what bias vectors need, and gradients accumulated by
 walking the operation graph in reverse topological order. Everything is
 value-semantic and single-threaded; determinism comes from numpy's fixed
 reduction order.
+
+An op's output keeps a closure that :func:`backward` calls with the output's
+gradient as its argument. The closure refers to the op's inputs but never to
+its own output, so a graph holds no reference cycle: once the last name bound
+to its loss goes, reference counting frees every node and its arrays at once,
+without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ class Tensor:
 
     ``data`` is a float64 ndarray, ``grad`` (same shape) is populated by
     :func:`backward` for nodes with ``requires_grad``. Leaf tensors are
-    parameters or constants; op outputs carry a closure that routes the
-    output gradient to the parents.
+    parameters or constants; op outputs carry a closure that takes the
+    output gradient and routes it to the parents.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop")
@@ -37,7 +43,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backprop: Callable[[], None] | None = None
+        self._backprop: Callable[[np.ndarray], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -81,7 +87,8 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _op(data: np.ndarray, parents: Sequence[Tensor], backprop: Callable[[], None]) -> Tensor:
+def _op(data: np.ndarray, parents: Sequence[Tensor],
+        backprop: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(parents)
@@ -103,8 +110,8 @@ def _accumulate(t: Tensor, grad: np.ndarray, owned: bool = False) -> None:
 
     The first gradient of a pass is stored rather than added to zeros. It is
     copied unless the caller `owned` it (a fresh array no one else holds),
-    because an ``out.grad``, a view of one or a broadcast can be shared by
-    several parents.
+    because an op's output gradient, a view of one or a broadcast can be
+    shared by several parents.
     """
     if t.grad is not None:
         t.grad += grad
@@ -174,7 +181,7 @@ def backward(loss: Tensor, graph: Graph | None = None) -> dict[Tensor, np.ndarra
     loss.grad = np.ones_like(loss.data)
     for node in reversed(graph.nodes):
         if node._backprop is not None and node.requires_grad:
-            node._backprop()
+            node._backprop(node.grad)
     return {n: n.grad for n in graph.nodes if n.requires_grad and not n._parents}
 
 
@@ -185,60 +192,45 @@ def backward(loss: Tensor, graph: Graph | None = None) -> dict[Tensor, np.ndarra
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
-    def backprop():
+    def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
+            _accumulate(a, _unbroadcast(out_grad, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(out.grad, b.data.shape))
+            _accumulate(b, _unbroadcast(out_grad, b.data.shape))
 
-    out = _op(out_data, (a, b), backprop)
-    return out
+    return _op(out_data, (a, b), backprop)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
-    def backprop():
+    def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
+            _accumulate(a, _unbroadcast(out_grad, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, -_unbroadcast(out.grad, b.data.shape), owned=True)
+            _accumulate(b, -_unbroadcast(out_grad, b.data.shape), owned=True)
 
-    out = _op(out_data, (a, b), backprop)
-    return out
+    return _op(out_data, (a, b), backprop)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
-    def backprop():
+    def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape), owned=True)
+            _accumulate(a, _unbroadcast(out_grad * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape), owned=True)
+            _accumulate(b, _unbroadcast(out_grad * a.data, b.data.shape), owned=True)
 
-    out = _op(out_data, (a, b), backprop)
-    return out
+    return _op(out_data, (a, b), backprop)
 
 
 def neg(a: Tensor) -> Tensor:
-    def backprop():
+    def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, -out.grad, owned=True)
+            _accumulate(a, -out_grad, owned=True)
 
-    out = _op(-a.data, (a,), backprop)
-    return out
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backprop():
-        if a.requires_grad:
-            _accumulate(a, c * out.grad, owned=True)
-
-    out = _op(c * a.data, (a,), backprop)
-    return out
+    return _op(-a.data, (a,), backprop)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -248,14 +240,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _require_finite(b, "matmul")
     out_data = a.data @ b.data
 
-    def backprop():
+    def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, out.grad @ b.data.T, owned=True)
+            _accumulate(a, out_grad @ b.data.T, owned=True)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ out.grad, owned=True)
+            _accumulate(b, a.data.T @ out_grad, owned=True)
 
-    out = _op(out_data, (a, b), backprop)
-    return out
+    return _op(out_data, (a, b), backprop)
 
 
 # Each activation is (forward(x, out=None), grad(y, out_grad)); the gradient
@@ -313,12 +304,11 @@ def _elementwise(a: Tensor, kind: str) -> Tensor:
     forward, grad_of = _ACTIVATIONS[kind]
     y = forward(a.data)
 
-    def backprop():
+    def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, grad_of(y, out.grad), owned=True)
+            _accumulate(a, grad_of(y, out_grad), owned=True)
 
-    out = _op(y, (a,), backprop)
-    return out
+    return _op(y, (a,), backprop)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -365,8 +355,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
             raise NonFiniteError(f"dense[{act}]: non-finite pre-activation values")
         forward(y, out=y)
 
-    def backprop():
-        g = out.grad if grad_of is None else grad_of(y, out.grad)
+    def backprop(out_grad):
+        g = out_grad if grad_of is None else grad_of(y, out_grad)
         if x.requires_grad:
             _accumulate(x, g @ w.data.T, owned=True)
         if w.requires_grad:
@@ -374,72 +364,65 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
         if b.requires_grad:
             _accumulate(b, g.sum(axis=0), owned=True)
 
-    out = _op(y, (x, w, b), backprop)
-    return out
+    return _op(y, (x, w, b), backprop)
 
 
 def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
 
-    def backprop():
+    def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, y * out.grad, owned=True)
+            _accumulate(a, y * out_grad, owned=True)
 
-    out = _op(y, (a,), backprop)
-    return out
+    return _op(y, (a,), backprop)
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise ValueError("log: inputs must be strictly positive")
 
-    def backprop():
+    def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, out.grad / a.data, owned=True)
+            _accumulate(a, out_grad / a.data, owned=True)
 
-    out = _op(np.log(a.data), (a,), backprop)
-    return out
+    return _op(np.log(a.data), (a,), backprop)
 
 
 def square(a: Tensor) -> Tensor:
-    def backprop():
+    def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, 2.0 * a.data * out.grad, owned=True)
+            _accumulate(a, 2.0 * a.data * out_grad, owned=True)
 
-    out = _op(a.data * a.data, (a,), backprop)
-    return out
+    return _op(a.data * a.data, (a,), backprop)
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip values into [lo, hi]; gradient passes through the interior only."""
     mask = (a.data >= lo) & (a.data <= hi)
 
-    def backprop():
+    def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, mask * out.grad, owned=True)
+            _accumulate(a, mask * out_grad, owned=True)
 
-    out = _op(np.clip(a.data, lo, hi), (a,), backprop)
-    return out
+    return _op(np.clip(a.data, lo, hi), (a,), backprop)
 
 
 def tsum(a: Tensor) -> Tensor:
-    def backprop():
+    def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, out.grad.reshape(()))
+            _accumulate(a, out_grad.reshape(()))
 
-    out = _op(np.asarray(a.data.sum()), (a,), backprop)
-    return out
+    return _op(np.asarray(a.data.sum()), (a,), backprop)
 
 
 def tmean(a: Tensor) -> Tensor:
     n = a.data.size
 
-    def backprop():
+    def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, out.grad.reshape(()) / n)
+            _accumulate(a, out_grad.reshape(()) / n)
 
-    out = _op(np.asarray(a.data.mean()), (a,), backprop)
-    return out
+    return _op(np.asarray(a.data.mean()), (a,), backprop)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -447,30 +430,28 @@ def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
     widths = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + widths)
 
-    def backprop():
+    def backprop(out_grad):
         for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
                 if axis == 1:
-                    _accumulate(p, out.grad[:, start:stop])
+                    _accumulate(p, out_grad[:, start:stop])
                 else:
-                    _accumulate(p, out.grad[start:stop])
+                    _accumulate(p, out_grad[start:stop])
 
-    out = _op(np.concatenate([p.data for p in parts], axis=axis), parts, backprop)
-    return out
+    return _op(np.concatenate([p.data for p in parts], axis=axis), parts, backprop)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError(f"slice_cols needs a 2-D tensor, got shape {a.data.shape}")
 
-    def backprop():
+    def backprop(out_grad):
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[:, start:stop] += out.grad
+            a.grad[:, start:stop] += out_grad
 
-    out = _op(a.data[:, start:stop].copy(), (a,), backprop)
-    return out
+    return _op(a.data[:, start:stop].copy(), (a,), backprop)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -484,14 +465,13 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     rows = np.arange(z.shape[0])
     loss = float((lse[:, 0] - z[rows, labels]).mean())
 
-    def backprop():
+    def backprop(out_grad):
         if logits.requires_grad:
             soft = np.exp(z - lse)
             soft[rows, labels] -= 1.0
-            _accumulate(logits, soft * (out.grad.reshape(()) / z.shape[0]), owned=True)
+            _accumulate(logits, soft * (out_grad.reshape(()) / z.shape[0]), owned=True)
 
-    out = _op(np.asarray(loss), (logits,), backprop)
-    return out
+    return _op(np.asarray(loss), (logits,), backprop)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -543,17 +543,18 @@ def cmd_attack(config: dict, outdir: Path, seed: int) -> int:
 def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
     dataset = dataset_from(config, seed)
     raw = config.get("sweep", {}).get("proportions", "1/64,1/32,1/16,1/8,1/4,1/2")
-    proportions = [Fraction(p.strip()) for p in raw.split(",") if p.strip()]
+    base = train_config_from(config, seed, input_width=dataset.width,
+                             default_perceptual=dataset.meta.get("kind") == "tiny-images")
+    # every proportion is checked before the first run trains or writes a file
+    sweep = [replace(base, privacy_proportion=Fraction(p.strip()))
+             for p in raw.split(",") if p.strip()]
     write_run_files(outdir, "sweep-proportion", config, seed)
     acfg = attack_config_from(config, seed)
     peak = float(dataset.features.max() - dataset.features.min())
     held = dataset.heldout_idx
     rows = []
-    for proportion in proportions:
-        tcfg = train_config_from(config, seed, input_width=dataset.width,
-                                 default_perceptual=dataset.meta.get("kind") == "tiny-images")
-        tcfg.privacy_proportion = proportion
-        tcfg.__post_init__()
+    for tcfg in sweep:
+        proportion = tcfg.privacy_proportion
         bundle, _ = train(dataset.features[dataset.train_idx], tcfg)
         recon = reconstruct(Tensor(dataset.features), bundle).data
         rng = np.random.default_rng(tcfg.seed + 31337)

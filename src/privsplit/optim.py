@@ -44,14 +44,23 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> tuple[
     return new_params, replace(state, step=t, m=m, v=v)
 
 
+# Elements per block of the in-place update: 256 KB per float64 vector, so the
+# block's slices of the parameters, gradients, m, v and the scratch buffer stay
+# in cache across the update's passes.
+_BLOCK = 1 << 15
+
+
 class Adam:
     """Adam over a list of parameter tensors, updated in place.
 
     At construction each tensor's ``data`` becomes a view into one flat
     buffer, and the moments are one flat ``m`` and ``v``. A step gathers the
-    gradients (None counts as zero) and runs :func:`adam_step`'s arithmetic
-    in its exact order over the whole buffer, so the parameters equal a
-    per-tensor :func:`adam_step` bitwise.
+    gradients (None counts as zero) into one flat vector, then walks the
+    buffer in blocks of ``_BLOCK`` elements. On each block it runs
+    :func:`adam_step`'s arithmetic in its exact order, every pass in place or
+    into one block-sized scratch buffer, so a block is read from memory once
+    rather than once per pass. Every operation is elementwise, so the
+    parameters equal a per-tensor :func:`adam_step` bitwise.
     """
 
     def __init__(self, params: list[Tensor], alpha: float = 1e-3, beta1: float = 0.9,
@@ -68,14 +77,21 @@ class Adam:
         self.m = np.zeros_like(self._flat)
         self.v = np.zeros_like(self._flat)
         self._grad = np.empty_like(self._flat)
-        self._tmp = np.empty_like(self._flat)
+        self._tmp = np.empty(min(_BLOCK, self._flat.size))
 
     def step(self) -> None:
-        g, tmp, m, v = self._grad, self._tmp, self.m, self.v
+        g = self._grad
         for p, part in zip(self.params, self._slices):
             g[part] = 0.0 if p.grad is None else p.grad.reshape(-1)
         self.step_count += 1
         t = self.step_count
+        for start in range(0, self._flat.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            self._update_block(self._flat[block], g[block], self.m[block], self.v[block], t)
+
+    def _update_block(self, params: np.ndarray, g: np.ndarray, m: np.ndarray,
+                      v: np.ndarray, t: int) -> None:
+        tmp = self._tmp[:params.size]
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=tmp)
         m += tmp
@@ -89,8 +105,4 @@ class Adam:
         g += self.epsilon
         tmp *= self.alpha
         tmp /= g
-        self._flat -= tmp
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        params -= tmp

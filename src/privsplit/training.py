@@ -21,10 +21,12 @@ with ``allow_pickle=False``, written to exactly the path it is given.
   float64 weights of shape (fan_in, fan_out) and biases of shape
   (fan_out,), so values round-trip exactly.
 
-Loading checks that every array is present, float64, finite and shaped as
-``model_config`` implies (:func:`~privsplit.models.network_widths`). A bad
-file raises :class:`MalformedCheckpointError`; a version-1 JSON checkpoint
-or any other version raises :class:`CheckpointVersionError`.
+Loading checks that every ``model_config`` field holds exactly its
+annotated type, that ``hidden_activation`` names a known activation, and
+that every array is present, float64, finite and shaped as ``model_config``
+implies (:func:`~privsplit.models.network_widths`). A bad file raises
+:class:`MalformedCheckpointError`; a version-1 JSON checkpoint or any other
+version raises :class:`CheckpointVersionError`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, backward, square, tmean
+from .autodiff import NonFiniteError, Tensor, _activation_fns, backward, square, tmean
 from .models import (
     Layer,
     ModelBundle,
@@ -219,10 +221,11 @@ def train(dataset, config: TrainConfig,
         try:
             split = encode(x, bundle)
             x_r = decode(merge(split.public_part, split.privacy_part, bundle), bundle)
-            noise = NoiseSpec(std=config.noise_std,
-                              seed=int(noise_rng.integers(np.iinfo(np.int64).max)))
-            x_e = decode(merge(split.public_part,
-                               fake_privacy(split.privacy_part, noise), bundle), bundle)
+            if config.ablation != "no_collaborative":  # its loss never reads x_e
+                noise = NoiseSpec(std=config.noise_std,
+                                  seed=int(noise_rng.integers(np.iinfo(np.int64).max)))
+                x_e = decode(merge(split.public_part,
+                                   fake_privacy(split.privacy_part, noise), bundle), bundle)
 
             recon_mse, perceptual, recon_combined = reconstruction_loss(
                 x_r, x, recon_phi, config.lam)
@@ -385,15 +388,25 @@ def _checked_config(header: dict) -> tuple[ModelConfig, dict[str, list[int]]]:
     """The model config and its network widths; layer counts must agree."""
     try:
         config = ModelConfig(**header["model_config"])
+        _check_field_types(config)
+        _activation_fns(config.hidden_activation)
         widths = network_widths(config)
         counts = {net: header["layers"][net] for net in _NETWORKS}
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCheckpointError(f"checkpoint header is invalid: {exc!r}") from exc
     for net in _NETWORKS:
-        if counts[net] != len(widths[net]) - 1:
+        if type(counts[net]) is not int or counts[net] != len(widths[net]) - 1:
             raise MalformedCheckpointError(
                 f"{net} has {counts[net]!r} layers, model_config implies {len(widths[net]) - 1}")
     return config, widths
+
+
+def _check_field_types(config: ModelConfig) -> None:
+    """Every field must hold exactly its annotated type: a bool is no int, 2.0 no width."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if type(value).__name__ != f.type:
+            raise TypeError(f"model_config {f.name} is {value!r}, expected {f.type}")
 
 
 def _read_layers(archive, net: str, widths: list[int], trainable: bool) -> list[Layer]:

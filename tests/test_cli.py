@@ -68,3 +68,17 @@ def test_obfuscate_on_version_1_checkpoint_exits_1(trained_run, capsys):
     old.write_text('{"magic": "privsplit-checkpoint", "version": 1}')
     assert obfuscate(trained_run, old) == 1
     assert "version 1" in capsys.readouterr().err
+
+
+def test_sweep_with_invalid_proportion_exits_1_before_any_run(tmp_path, capsys):
+    # 3/256 of the feature width 128 is 1.5 privacy features; the valid 1/64
+    # before it must not train first
+    config = tmp_path / "sweep.ini"
+    config.write_text("[sweep]\nproportions = 1/64, 3/256\n")
+    assert cli.main(["sweep-proportion", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "3/256" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()

@@ -246,7 +246,7 @@ class TestPerBinRecovery:
         from privsplit.autodiff import tsum
 
         for _ in range(3000):
-            opt.zero_grad()
+            logits.grad = None
             d = sigmoid(logits)
             loss = tsum(bce(d, 1) * weights_r) + tsum(bce(d, 0) * weights_e)
             backward(loss)

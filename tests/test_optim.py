@@ -51,7 +51,7 @@ class TestAdamWrapper:
         w = Tensor(np.array([5.0, -4.0]), requires_grad=True)
         opt = Adam([w], alpha=0.05)
         for _ in range(400):
-            opt.zero_grad()
+            w.grad = None
             backward(tsum(square(w)))
             opt.step()
         assert np.all(np.abs(w.data) < 1e-2)
@@ -72,22 +72,31 @@ class TestAdamWrapper:
         assert np.array_equal(w.data, [1.0])
 
     def test_flat_buffer_matches_per_tensor_adam_step_bitwise(self):
-        rng = np.random.default_rng(4)
-        shapes = [(3, 4), (4,), (2, 2), (5,)]
-        tensors = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
-        ref_params = [t.data.reshape(-1).copy() for t in tensors]
-        ref_states = [AdamState.init(t.data.size, alpha=0.01) for t in tensors]
-        opt = Adam(tensors, alpha=0.01)
-        for step in range(20):
-            for i, t in enumerate(tensors):
-                # the third tensor never gets a gradient, like a parameter off the loss path
-                t.grad = None if i == 2 else rng.standard_normal(t.data.shape)
-                grad = np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1)
-                ref_params[i], ref_states[i] = adam_step(ref_params[i], grad, ref_states[i])
-            opt.step()
-            for t, ref in zip(tensors, ref_params):
-                assert np.array_equal(t.data.reshape(-1), ref)
-        assert all(s.step == 20 for s in ref_states)
-        assert opt.step_count == 20
-        assert np.array_equal(opt.m, np.concatenate([s.m for s in ref_states]))
-        assert np.array_equal(opt.v, np.concatenate([s.v for s in ref_states]))
+        assert_flat_adam_matches_adam_step([(3, 4), (4,), (2, 2), (5,)])
+
+    def test_blocked_update_matches_per_tensor_adam_step_bitwise(self):
+        # 3 full blocks of 2**15 elements and a partial one of 17; every tensor
+        # straddles a block boundary, and the gradient-less third one ends the buffer
+        assert_flat_adam_matches_adam_step([(300, 200), (10000,), (28321,)])
+
+
+def assert_flat_adam_matches_adam_step(shapes):
+    """Flat `Adam` over `shapes` equals a per-tensor `adam_step` over 20 steps."""
+    rng = np.random.default_rng(4)
+    tensors = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    ref_params = [t.data.reshape(-1).copy() for t in tensors]
+    ref_states = [AdamState.init(t.data.size, alpha=0.01) for t in tensors]
+    opt = Adam(tensors, alpha=0.01)
+    for step in range(20):
+        for i, t in enumerate(tensors):
+            # the third tensor never gets a gradient, like a parameter off the loss path
+            t.grad = None if i == 2 else rng.standard_normal(t.data.shape)
+            grad = np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1)
+            ref_params[i], ref_states[i] = adam_step(ref_params[i], grad, ref_states[i])
+        opt.step()
+        for t, ref in zip(tensors, ref_params):
+            assert np.array_equal(t.data.reshape(-1), ref)
+    assert all(s.step == 20 for s in ref_states)
+    assert opt.step_count == 20
+    assert np.array_equal(opt.m, np.concatenate([s.m for s in ref_states]))
+    assert np.array_equal(opt.v, np.concatenate([s.v for s in ref_states]))

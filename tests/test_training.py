@@ -1,11 +1,16 @@
+import gc
+import hashlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from privsplit import training
 from privsplit.autodiff import Tensor
-from privsplit.models import NoiseSpec, encrypt, perceptual_features, reconstruct
+from privsplit.datasets import ClusterSpec, gen_toy_clusters
+from privsplit.evaluation import AttackConfig, attack_train_eval, separability
+from privsplit.models import NoiseSpec, decode, encrypt, perceptual_features, reconstruct
 from privsplit.objectives import msednet_loss
 from privsplit.training import (
     CheckpointVersionError,
@@ -106,6 +111,32 @@ class TestTrainBasics:
             train(small_blobs(), cfg)
 
 
+def cyclic_garbage_after(run) -> int:
+    """Objects that only the cyclic collector could free after `run()`."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestGraphsFreedByRefcount:
+    @pytest.mark.parametrize("ablation", ["full", "no_collaborative", "msednet"])
+    def test_training_leaves_no_cyclic_garbage(self, ablation):
+        cfg = quick_config(ablation=ablation, iterations=5, use_perceptual=True)
+        assert cyclic_garbage_after(lambda: train(small_blobs(), cfg)) == 0
+
+    def test_attack_and_separability_classifiers_leave_no_cyclic_garbage(self):
+        cfg = AttackConfig(iterations=5, batch_size=16)
+        toy = gen_toy_clusters(ClusterSpec(cluster_count=3, points_per_cluster=20))
+        assert cyclic_garbage_after(lambda: attack_train_eval(toy, cfg)) == 0
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(40, 2)), rng.normal(1.0, 1.0, size=(40, 2))
+        assert cyclic_garbage_after(lambda: separability(a, b, cfg)) == 0
+
+
 class TestAblations:
     def test_dispatch_guards(self):
         data = small_blobs()
@@ -126,6 +157,32 @@ class TestAblations:
         for trained, fresh in zip(bundle.discriminator_parameters(),
                                   init.discriminator_parameters()):
             assert np.array_equal(trained.data, fresh.data)
+
+    @pytest.mark.parametrize("ablation, calls", [
+        ("full", 2), ("no_collaborative", 1), ("msednet", 2)])
+    def test_encrypted_output_is_decoded_only_when_the_loss_reads_it(
+            self, monkeypatch, ablation, calls):
+        seen = []
+
+        def counting_decode(features, bundle):
+            seen.append(features.shape)
+            return decode(features, bundle)
+
+        monkeypatch.setattr(training, "decode", counting_decode)
+        train(small_blobs(), quick_config(ablation=ablation, iterations=3))
+        assert len(seen) == 3 * calls
+
+    def test_no_collaborative_parameters_pinned(self):
+        # sha256 of a run taken before the unused encrypted decode was skipped:
+        # skipping it must not change a bit. The digest follows the BLAS
+        # kernels' summation order (x86-64, OpenBLAS 0.3.31).
+        bundle, _ = train(small_blobs(), quick_config(ablation="no_collaborative",
+                                                      iterations=20))
+        digest = hashlib.sha256()
+        for t in bundle.all_parameters():
+            digest.update(t.data.tobytes())
+        assert digest.hexdigest() == (
+            "7033fc854efd0b9ab8f666ecb9be067347e5604dbfb06cc296f6cb41208a9bda")
 
     def test_msednet_grows_encrypted_feature_distance(self):
         data = small_blobs()
@@ -297,6 +354,42 @@ class TestCheckpoints:
         rewrite_checkpoint(path, lambda header, arrays: header["model_config"].update(
             disc_layers=4))
         with pytest.raises(MalformedCheckpointError, match="discriminator"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("input_width", 2.0),
+        ("feature_width", True),
+        ("disc_layers", 5.0),
+        ("perceptual_width", "8"),
+        ("seed", 3.0),
+        ("seed", False),
+    ])
+    def test_integer_config_fields_must_be_int(self, tmp_path, field, value):
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: header["model_config"].update(
+            {field: value}))
+        with pytest.raises(MalformedCheckpointError, match=f"{field} is .*expected int"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_use_perceptual_must_be_bool(self, tmp_path, value):
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: header["model_config"].update(
+            use_perceptual=value))
+        with pytest.raises(MalformedCheckpointError, match="use_perceptual is .*expected bool"):
+            load_checkpoint(path)
+
+    def test_hidden_activation_must_be_known(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: header["model_config"].update(
+            hidden_activation="bogus"))
+        with pytest.raises(MalformedCheckpointError, match="bogus"):
+            load_checkpoint(path)
+
+    def test_header_layer_count_must_be_int(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: header["layers"].update(encoder=2.0))
+        with pytest.raises(MalformedCheckpointError, match="encoder"):
             load_checkpoint(path)
 
     def test_save_load_save_gives_identical_arrays(self, tmp_path):
