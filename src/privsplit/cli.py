@@ -54,7 +54,7 @@ from .models import (
     perceptual_features,
     reconstruct,
 )
-from .obfuscation import gaussian_blur, pixelate
+from .obfuscation import gaussian_blur, gaussian_blur_stack, pixelate, pixelate_stack
 from .objectives import (
     LOG4,
     DiscreteDistributionPair,
@@ -63,7 +63,7 @@ from .objectives import (
     jsd,
     reconstruction_loss,
 )
-from .p3 import p3_encode, serialize_secret
+from .p3 import p3_encode, p3_public_stack, serialize_secret
 from .training import (
     TrainConfig,
     TrainingDivergedError,
@@ -235,8 +235,8 @@ def write_run_files(outdir: Path, command: str, config: dict, seed: int) -> None
 # check
 
 
-def cmd_check(seed: int = 0, fault_hook=None, out=sys.stdout) -> int:
-    """Numeric self-checks; prints one PASS/FAIL line per check."""
+def cmd_check(seed: int = 0, fault_hook=None, out=None) -> int:
+    """Numeric self-checks; prints one PASS/FAIL line per check to `out` (stdout)."""
     failures = 0
 
     def report(name: str, ok: bool, detail: str) -> None:
@@ -444,18 +444,25 @@ def cmd_obfuscate(args) -> int:
 # attack / sweep
 
 
+# Rows per image-space transform call. A whole 800-image blur would need
+# ~40 MB of float64 temporaries; 32 rows of 32x32 images keep them near
+# 2 MB, and chunks of 16 to 64 rows run equally fast.
+_IMAGE_CHUNK_ROWS = 32
+
+
 def _image_space_method(name, dataset, transform) -> ObfuscationMethod:
+    """`transform` maps an (n, size, size, channels) uint8 stack to another."""
     meta = dataset.meta
     if meta.get("kind") != "tiny-images":
         raise usage_error(f"method {name} needs image data (data.kind = tiny)")
-    size, channels = meta["size"], meta["channels"]
+    shape = (-1, meta["size"], meta["size"], meta["channels"])
 
     def encrypt_fn(features: np.ndarray, rng) -> np.ndarray:
         out = np.empty_like(features)
-        for i, row in enumerate(features):
-            pixels = features_to_pixels(row).reshape(size, size, channels)
-            img = transform(Image(size, size, channels, pixels))
-            out[i] = pixels_to_features(img.pixels).reshape(-1)
+        for start in range(0, len(features), _IMAGE_CHUNK_ROWS):
+            rows = slice(start, start + _IMAGE_CHUNK_ROWS)
+            pixels = transform(features_to_pixels(features[rows]).reshape(shape))
+            out[rows] = pixels_to_features(pixels).reshape(len(pixels), -1)
         return out
 
     return ObfuscationMethod(name, encrypt_fn)
@@ -487,18 +494,17 @@ def build_methods(config: dict, dataset: LabeledDataset, noise_std: float) -> li
         if name == "pixelate":
             factor = _get(config, "attack", "pixelate_factor", 20, int)
             methods.append(_image_space_method(
-                f"Pixelation({factor})", dataset, lambda im, f=factor: pixelate(im, f)))
+                f"Pixelation({factor})", dataset,
+                lambda px, f=factor: pixelate_stack(px, f)))
         elif name == "blur":
             radius = _get(config, "attack", "blur_radius", 16, int)
             methods.append(_image_space_method(
-                f"Blurring({radius})", dataset, lambda im, r=radius: gaussian_blur(im, r)))
+                f"Blurring({radius})", dataset,
+                lambda px, r=radius: gaussian_blur_stack(px, r)))
         elif name == "p3":
             threshold = _get(config, "attack", "p3_threshold", 1, int)
-
-            def p3_transform(im, t=threshold):
-                return p3_encode(im, t).public_image
-
-            method = _image_space_method(f"P3({threshold})", dataset, p3_transform)
+            method = _image_space_method(
+                f"P3({threshold})", dataset, lambda px, t=threshold: p3_public_stack(px, t))
             method.proportion = _mean_secret_proportion(dataset, threshold)
             methods.append(method)
         elif name == "model":
@@ -576,7 +582,7 @@ def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
     return 0
 
 
-def cmd_report(run_dir: Path, out=sys.stdout) -> int:
+def cmd_report(run_dir: Path, out=None) -> int:
     found = False
     for name in ("history.csv", "report.csv", "sweep.csv"):
         path = run_dir / name

@@ -1,4 +1,11 @@
-"""Classic obfuscation transforms: grid pixelation and Gaussian blurring."""
+"""Classic obfuscation transforms: grid pixelation and Gaussian blurring.
+
+Each transform works on a stack of images: a uint8 array of shape
+(n, height, width, channels), transformed image by image with no mixing
+between images. A single :class:`Image` is a stack of one, so
+:func:`pixelate` and :func:`gaussian_blur` run the same code as
+:func:`pixelate_stack` and :func:`gaussian_blur_stack`.
+"""
 
 from __future__ import annotations
 
@@ -7,23 +14,35 @@ import numpy as np
 from .image import Image, round_half_away, to_u8
 
 
-def pixelate(img: Image, factor: int) -> Image:
+def _on_image(img: Image, stack_fn, *args) -> Image:
+    return Image(img.width, img.height, img.channels, stack_fn(img.pixels[None], *args)[0])
+
+
+def pixelate_stack(pixels: np.ndarray, factor: int) -> np.ndarray:
     """Replace each factor x factor grid by its per-channel rounded mean.
 
     Edge grids smaller than the factor are averaged over their actual
-    extent, so the dimensions never change.
+    extent, so the dimensions never change. A grid sum adds at most
+    factor² integers below 256, which float64 holds exactly, so the mean
+    does not depend on the order of the sum.
     """
     if factor < 1:
         raise ValueError(f"pixelation factor must be >= 1, got {factor}")
     if factor == 1:
-        return Image(img.width, img.height, img.channels, img.pixels.copy())
-    src = img.pixels.astype(np.float64)
-    out = np.empty_like(src)
-    for y0 in range(0, img.height, factor):
-        for x0 in range(0, img.width, factor):
-            block = src[y0:y0 + factor, x0:x0 + factor]
-            out[y0:y0 + factor, x0:x0 + factor] = round_half_away(block.mean(axis=(0, 1)))
-    return Image(img.width, img.height, img.channels, out.astype(np.uint8))
+        return pixels.copy()
+    height, width = pixels.shape[1:3]
+    ys = np.arange(0, height, factor)
+    xs = np.arange(0, width, factor)
+    sums = np.add.reduceat(np.add.reduceat(pixels.astype(np.float64), ys, axis=1), xs, axis=2)
+    rows = np.diff(ys, append=height)
+    cols = np.diff(xs, append=width)
+    means = round_half_away(sums / np.outer(rows, cols)[None, :, :, None])
+    return np.repeat(np.repeat(means, rows, axis=1), cols, axis=2).astype(np.uint8)
+
+
+def pixelate(img: Image, factor: int) -> Image:
+    """:func:`pixelate_stack` on one image."""
+    return _on_image(img, pixelate_stack, factor)
 
 
 def gaussian_kernel(radius: int) -> np.ndarray:
@@ -36,24 +55,35 @@ def gaussian_kernel(radius: int) -> np.ndarray:
     return k / k.sum()
 
 
-def gaussian_blur(img: Image, radius: int) -> Image:
-    """Separable Gaussian convolution with reflect padding, clamped to 8 bits."""
+def gaussian_blur_stack(pixels: np.ndarray, radius: int) -> np.ndarray:
+    """Separable Gaussian convolution with reflect padding, clamped to 8 bits.
+
+    Each pass adds the taps in kernel order, each tap a product of weight
+    and pixel, so every image comes out as if blurred on its own.
+    """
     if radius < 0:
         raise ValueError(f"blur radius must be >= 0, got {radius}")
     if radius == 0:
-        return Image(img.width, img.height, img.channels, img.pixels.copy())
-    if radius >= min(img.width, img.height):
+        return pixels.copy()
+    height, width = pixels.shape[1:3]
+    if radius >= min(width, height):
         raise ValueError(
             f"blur radius {radius} needs image dimensions larger than the radius, "
-            f"got {img.width}x{img.height}")
+            f"got {width}x{height}")
     kernel = gaussian_kernel(radius)
-    data = img.pixels.astype(np.float64)
-    padded = np.pad(data, ((radius, radius), (0, 0), (0, 0)), mode="reflect")
+    data = pixels.astype(np.float64)
+    tap = np.empty_like(data)
+    padded = np.pad(data, ((0, 0), (radius, radius), (0, 0), (0, 0)), mode="reflect")
     rows = np.zeros_like(data)
     for j, w in enumerate(kernel):
-        rows += w * padded[j:j + img.height]
-    padded = np.pad(rows, ((0, 0), (radius, radius), (0, 0)), mode="reflect")
+        rows += np.multiply(w, padded[:, j:j + height], out=tap)
+    padded = np.pad(rows, ((0, 0), (0, 0), (radius, radius), (0, 0)), mode="reflect")
     cols = np.zeros_like(data)
     for j, w in enumerate(kernel):
-        cols += w * padded[:, j:j + img.width]
-    return Image(img.width, img.height, img.channels, to_u8(cols))
+        cols += np.multiply(w, padded[:, :, j:j + width], out=tap)
+    return to_u8(cols)
+
+
+def gaussian_blur(img: Image, radius: int) -> Image:
+    """:func:`gaussian_blur_stack` on one image."""
+    return _on_image(img, gaussian_blur_stack, radius)

@@ -8,6 +8,13 @@ coefficient whose quantized magnitude exceeds the threshold move to the
 secret part; the public image keeps the rest. The package retains the exact
 quantized public coefficients, so reinserting the secret reproduces the
 full-coefficient reference reconstruction bitwise.
+
+The codec works on a stack of images: a uint8 array of shape
+(n, height, width, channels), whose images are stacked along the block-row
+axis of the DCT. A single :class:`Image` is a stack of one, so
+:func:`p3_encode`, :func:`p3_decode` and :func:`quantized_reference` run
+the same code as :func:`p3_public_stack`, which returns the public images
+of a whole stack without building their secrets.
 """
 
 from __future__ import annotations
@@ -68,65 +75,85 @@ class P3Package:
     block_cols: int
 
 
-def _to_blocks(plane: np.ndarray) -> np.ndarray:
-    h, w = plane.shape
-    pad_h = (-h) % 8
-    pad_w = (-w) % 8
-    padded = np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
-    by, bx = padded.shape[0] // 8, padded.shape[1] // 8
-    return padded.reshape(by, 8, bx, 8).transpose(0, 2, 1, 3)
+def _to_blocks(planes: np.ndarray) -> np.ndarray:
+    """(n, h, w) planes -> (n * by, bx, 8, 8) blocks, the images stacked along the block rows."""
+    n, h, w = planes.shape
+    padded = np.pad(planes, ((0, 0), (0, (-h) % 8), (0, (-w) % 8)), mode="edge")
+    by, bx = padded.shape[1] // 8, padded.shape[2] // 8
+    return padded.reshape(n * by, 8, bx, 8).transpose(0, 2, 1, 3)
 
 
-def _from_blocks(blocks: np.ndarray, height: int, width: int) -> np.ndarray:
-    by, bx = blocks.shape[:2]
-    plane = blocks.transpose(0, 2, 1, 3).reshape(by * 8, bx * 8)
-    return plane[:height, :width]
+def _from_blocks(blocks: np.ndarray, count: int, height: int, width: int) -> np.ndarray:
+    bx = blocks.shape[1]
+    planes = blocks.transpose(0, 2, 1, 3).reshape(count, -1, bx * 8)
+    return planes[:, :height, :width]
 
 
-def _quantize_image(img: Image) -> np.ndarray:
-    """Quantized block coefficients, shape (channels, by, bx, 8, 8), int32."""
-    planes = img.pixels.astype(np.float64) - 128.0
+def _quantize_image(pixels: np.ndarray) -> np.ndarray:
+    """Quantized block coefficients of an (n, h, w, c) stack, int32.
+
+    The shape is (channels, n * by, bx, 8, 8): image k holds block rows
+    k * by to (k + 1) * by - 1. For a stack of one it is the package layout
+    (channels, by, bx, 8, 8).
+    """
+    planes = pixels.astype(np.float64) - 128.0
     out = []
-    for ch in range(img.channels):
-        blocks = _to_blocks(planes[:, :, ch])
+    for ch in range(pixels.shape[3]):
+        blocks = _to_blocks(planes[:, :, :, ch])
         coeffs = np.einsum("ij,byjk,lk->byil", DCT8, blocks, DCT8)
         out.append(np.rint(coeffs / QUANT_TABLE).astype(np.int32))
     return np.stack(out)
 
 
-def _dequantize_to_image(coeffs: np.ndarray, height: int, width: int) -> Image:
-    channels = coeffs.shape[0]
+def _dequantize_to_image(coeffs: np.ndarray, count: int, height: int,
+                         width: int) -> np.ndarray:
+    """Invert :func:`_quantize_image`: an (count, height, width, channels) uint8 stack."""
     planes = []
-    for ch in range(channels):
+    for ch in range(coeffs.shape[0]):
         spatial = np.einsum("ji,byjk,kl->byil", DCT8, coeffs[ch] * QUANT_TABLE, DCT8)
-        planes.append(_from_blocks(spatial, height, width) + 128.0)
-    return Image.from_array(to_u8(np.stack(planes, axis=-1)))
+        planes.append(_from_blocks(spatial, count, height, width) + 128.0)
+    return to_u8(np.stack(planes, axis=-1))
 
 
-def quantized_reference(img: Image) -> Image:
-    """Round trip through the quantized codec with nothing removed."""
-    return _dequantize_to_image(_quantize_image(img), img.height, img.width)
-
-
-def p3_encode(img: Image, threshold: int) -> P3Package:
-    """Split the quantized coefficients into public and secret parts.
+def _public_mask(coeffs: np.ndarray, threshold: int) -> np.ndarray:
+    """True for each coefficient that stays public.
 
     Every DC goes to the secret; an AC goes to the secret iff its magnitude
     is strictly larger than the threshold.
     """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
-    coeffs = _quantize_image(img)
+    keep = np.abs(coeffs) <= threshold
+    keep[..., 0, 0] = False  # DC is always secret
+    return keep
+
+
+def quantized_reference(img: Image) -> Image:
+    """Round trip through the quantized codec with nothing removed."""
+    coeffs = _quantize_image(img.pixels[None])
+    return Image.from_array(_dequantize_to_image(coeffs, 1, img.height, img.width)[0])
+
+
+def p3_public_stack(pixels: np.ndarray, threshold: int) -> np.ndarray:
+    """The public images of an (n, h, w, c) uint8 stack, without their secrets."""
+    coeffs = _quantize_image(pixels)
+    public = np.where(_public_mask(coeffs, threshold), coeffs, 0)
+    n, height, width = pixels.shape[:3]
+    return _dequantize_to_image(public, n, height, width)
+
+
+def p3_encode(img: Image, threshold: int) -> P3Package:
+    """Split the quantized coefficients into public and secret parts (see :func:`_public_mask`)."""
+    coeffs = _quantize_image(img.pixels[None])
+    keep = _public_mask(coeffs, threshold)
+    public = np.where(keep, coeffs, 0)
     channels, by, bx = coeffs.shape[:3]
     flat = coeffs.reshape(channels * by * bx, 64)
-    keep_mask = np.abs(flat) <= threshold
-    keep_mask[:, 0] = False  # DC is always secret
-    public_flat = np.where(keep_mask, flat, 0)
-    secret_ids = np.nonzero(~keep_mask)
+    secret_ids = np.nonzero(~keep.reshape(flat.shape))
     secret = [(int(b), int(c), int(flat[b, c])) for b, c in zip(*secret_ids)]
-    public = public_flat.reshape(coeffs.shape)
     return P3Package(
-        public_image=_dequantize_to_image(public, img.height, img.width),
+        public_image=Image.from_array(
+            _dequantize_to_image(public, 1, img.height, img.width)[0]),
         public_coefficients=public,
         secret=secret,
         threshold=threshold,
@@ -149,7 +176,8 @@ def p3_decode(pkg: P3Package) -> Image:
         if not (0 <= block_id < flat.shape[0] and 0 <= coef_id < 64):
             raise P3PackageError(f"secret entry ({block_id}, {coef_id}) outside block grid")
         flat[block_id, coef_id] = value
-    return _dequantize_to_image(flat.reshape(expected), pkg.height, pkg.width)
+    pixels = _dequantize_to_image(flat.reshape(expected), 1, pkg.height, pkg.width)
+    return Image.from_array(pixels[0])
 
 
 def serialize_secret(pkg: P3Package) -> bytes:

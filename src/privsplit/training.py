@@ -24,7 +24,10 @@ with ``allow_pickle=False``, written to exactly the path it is given.
 Loading checks that every ``model_config`` field holds exactly its
 annotated type, that ``hidden_activation`` names a known activation, and
 that every array is present, float64, finite and shaped as ``model_config``
-implies (:func:`~privsplit.models.network_widths`). A bad file raises
+implies (:func:`~privsplit.models.network_widths`), and that every history
+column is a list of equal length holding ints (``iterations``) or floats
+and ints (the losses; ``null`` only in ``l_d`` and ``l_g_ad``), no bools
+among them. A bad file raises
 :class:`MalformedCheckpointError`; a version-1 JSON checkpoint or any other
 version raises :class:`CheckpointVersionError`.
 """
@@ -427,15 +430,37 @@ def _read_layers(archive, net: str, widths: list[int], trainable: bool) -> list[
     return layers
 
 
+# the adversarial terms, which the no_collaborative and msednet ablations drop
+_OPTIONAL_HISTORY = ("l_d", "l_g_ad")
+
+
 def _read_history(header: dict) -> TrainHistory:
     names = [f.name for f in fields(TrainHistory)]
     try:
-        columns = {name: list(header["history"][name]) for name in names}
+        columns = {name: header["history"][name] for name in names}
     except (KeyError, TypeError) as exc:
         raise MalformedCheckpointError(f"checkpoint history is invalid: {exc!r}") from exc
+    for name, column in columns.items():
+        if type(column) is not list:
+            raise MalformedCheckpointError(f"checkpoint history {name} is not a list")
+        for value in column:
+            if not _history_value_ok(name, value):
+                raise MalformedCheckpointError(f"checkpoint history {name} holds {value!r}")
     if len({len(column) for column in columns.values()}) != 1:
         raise MalformedCheckpointError("checkpoint history columns differ in length")
     return TrainHistory(**columns)
+
+
+def _history_value_ok(column: str, value) -> bool:
+    """An iteration is an int; a loss is a float or an int, or None where an ablation drops it.
+
+    A bool is neither an int nor a float here.
+    """
+    if column == "iterations":
+        return type(value) is int
+    if value is None:
+        return column in _OPTIONAL_HISTORY
+    return type(value) in (float, int)
 
 
 HISTORY_COLUMNS = ("iteration", "l_D", "l_G_ad", "l_recon_mse", "l_perceptual", "l_G_total")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,65 @@ class TestMatmul:
         bad = Tensor([[np.nan, 0.0]])
         with pytest.raises(ValueError, match="non-finite"):
             matmul(bad, Tensor(np.zeros((2, 1))))
+
+
+# (rows, inner, cols) of x @ w: K = 1, N = 1, M = 1, then every layer shape of
+# the toy and image models (width 1024, perceptual on) and the attack classifier
+PRODUCT_SHAPES = [(5, 1, 4), (5, 3, 1), (1, 7, 3), (64, 2, 128), (64, 128, 128),
+                  (64, 128, 2), (64, 128, 1), (64, 1024, 128), (64, 128, 1024),
+                  (64, 1024, 64), (64, 64, 64), (64, 128, 10)]
+
+
+def product_op(kind, x, w):
+    if kind == "matmul":
+        return matmul(x, w)
+    return dense(x, w, Tensor(np.zeros(w.shape[1])), None if kind == "dense" else "tanh")
+
+
+class TestNonFiniteOperands:
+    """The product-side check raises exactly what an operand scan raised."""
+
+    @pytest.mark.parametrize("kind", ["matmul", "dense", "dense-tanh"])
+    @pytest.mark.parametrize("shape", PRODUCT_SHAPES)
+    def test_every_placement_raises_the_op_message(self, shape, kind):
+        m, k, n = shape
+        message = "matmul" if kind == "matmul" else "dense"
+        rng = np.random.default_rng(m * 10007 + k * 101 + n)
+        for value in (np.nan, np.inf, -np.inf):
+            for side in ("x", "w"):
+                for zero_partner in (False, True):
+                    x = rng.standard_normal((m, k))
+                    w = rng.standard_normal((k, n))
+                    i, j, col = rng.integers(m), rng.integers(k), rng.integers(n)
+                    if side == "x":
+                        x[i, j] = value
+                        if zero_partner:
+                            w[j, :] = 0.0  # every product term of x[i, j] is 0 * value
+                    else:
+                        w[j, col] = value
+                        if zero_partner:
+                            x[:, j] = 0.0
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        with pytest.raises(NonFiniteError) as info:
+                            product_op(kind, Tensor(x), Tensor(w))
+                    assert str(info.value) == f"{message}: non-finite input values"
+
+    @pytest.mark.parametrize("kind", ["matmul", "dense", "dense-tanh"])
+    @pytest.mark.parametrize("x, w", [
+        (np.zeros((0, 4)), np.full((4, 2), np.nan)),
+        (np.full((3, 4), np.inf), np.zeros((4, 0))),
+    ], ids=["no-rows", "no-cols"])
+    def test_empty_product_checks_its_operands(self, kind, x, w):
+        with pytest.raises(NonFiniteError, match="non-finite input values"):
+            product_op(kind, Tensor(x), Tensor(w))
+
+    def test_overflow_from_finite_operands_is_not_an_input_error(self):
+        x, w = Tensor(np.full((2, 3), 1e200)), Tensor(np.full((3, 2), 1e200))
+        with np.errstate(over="ignore"):
+            assert np.all(np.isinf(matmul(x, w).data))
+            with pytest.raises(NonFiniteError, match="pre-activation"):
+                product_op("dense-tanh", x, w)
 
 
 class TestActivations:

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,9 @@ from privsplit import cli
 from privsplit.autodiff import Tensor
 from privsplit.datasets import features_to_pixels, make_tiny_image_dataset, pixels_to_features
 from privsplit.image import load_pixmap, save_pixmap
+from privsplit.obfuscation import gaussian_blur, pixelate
 from privsplit.models import NoiseSpec, encrypt
+from privsplit.p3 import p3_encode, serialize_secret
 from privsplit.training import TrainingDivergedError, load_checkpoint
 
 
@@ -82,3 +87,59 @@ def test_sweep_with_invalid_proportion_exits_1_before_any_run(tmp_path, capsys):
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.out == ""
     assert not (tmp_path / "run").exists()
+
+
+# sha256 of the float64 bytes each image baseline encrypts make_tiny_image_dataset(seed=0)
+# into, taken from the per-image code the stack code replaced; einsum's summation
+# order is part of the P3 digest (here x86-64, numpy 2.4, OpenBLAS 0.3.31)
+BASELINE_DIGESTS = {
+    "Pixelation(20)": "b4b48d721d7433251a3f707959e201659b951697459a69f82fd4a680fe92b9b9",
+    "Blurring(16)": "80b6fc1c6c456909296236ea49e204eef03fb8d1e9fded06aec055b6f3e391ce",
+    "P3(1)": "3d2b3bc0eff00addcaadf882f2271c425daf467b25ce6bed99202196e61c0917",
+}
+
+
+def test_image_baselines_are_pinned():
+    dataset = make_tiny_image_dataset(seed=0)
+    methods = cli.build_methods({"attack": {"methods": "pixelate,blur,p3"}}, dataset, 1.0)
+    digests = {}
+    for method in methods:
+        out = method.encrypt(dataset.features, np.random.default_rng(0))
+        assert out.dtype == np.float64 and out.shape == dataset.features.shape
+        digests[method.name] = hashlib.sha256(out.tobytes()).hexdigest()
+    assert digests == BASELINE_DIGESTS
+
+
+def test_check_exits_0_and_passes_every_line(capsys):
+    assert cli.main(["check"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines)
+
+
+def test_attack_reports_every_baseline(tmp_path):
+    config = tmp_path / "attack.ini"
+    config.write_text("[data]\nkind = tiny\nper_class = 20\n\n"
+                      "[attack]\nmethods = pixelate,blur,p3\niterations = 5\n")
+    assert cli.main(["attack", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run" / "report.csv", newline="", encoding="ascii") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[1:]] == [
+        "Original", "Random", "Pixelation(20)", "Blurring(16)", "P3(1)"]
+
+
+@pytest.mark.parametrize("method, flag, library", [
+    ("pixelate", ["--factor", "5"], lambda img: pixelate(img, 5)),
+    ("blur", ["--radius", "3"], lambda img: gaussian_blur(img, 3)),
+    ("p3", ["--threshold", "2"], lambda img: p3_encode(img, 2).public_image),
+])
+def test_obfuscate_baseline_matches_library(tmp_path, method, flag, library):
+    image = make_tiny_image_dataset(per_class=20, seed=4).images[7]
+    save_pixmap(image, tmp_path / "in.pgm")
+    out = tmp_path / "out.pgm"
+    assert cli.main(["obfuscate", "--method", method, "--input", str(tmp_path / "in.pgm"),
+                     "--output", str(out)] + flag) == 0
+    assert np.array_equal(load_pixmap(out).pixels, library(image).pixels)
+    secret = tmp_path / "out.pgm.secret"
+    assert secret.exists() == (method == "p3")
+    if method == "p3":
+        assert secret.read_bytes() == serialize_secret(p3_encode(image, 2))

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from privsplit.image import Image, round_half_away, to_u8
-from privsplit.obfuscation import gaussian_blur, gaussian_kernel, pixelate
+from privsplit.obfuscation import (
+    gaussian_blur,
+    gaussian_blur_stack,
+    gaussian_kernel,
+    pixelate,
+    pixelate_stack,
+)
 
 
 def ramp_image(w=4, h=4):
@@ -98,3 +104,46 @@ class TestGaussianBlur:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="radius"):
             gaussian_blur(ramp_image(), -1)
+
+
+def random_stack(rng, count, height, width, channels):
+    return rng.integers(0, 256, size=(count, height, width, channels), dtype=np.uint8)
+
+
+class TestStacks:
+    """A stack transforms to what each of its images gives on its own."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("height, width", [(1, 1), (7, 13), (20, 9), (32, 32), (41, 23)])
+    def test_pixelate_stack_equals_single_images(self, height, width, channels):
+        rng = np.random.default_rng(height * 41 + width + channels)
+        stack = random_stack(rng, 5, height, width, channels)
+        for factor in (1, 2, 3, 7, 20, 45):
+            singles = [pixelate(Image.from_array(a), factor).pixels for a in stack]
+            assert np.array_equal(pixelate_stack(stack, factor), np.stack(singles))
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("height, width", [(2, 2), (7, 13), (20, 9), (32, 32), (41, 23)])
+    def test_gaussian_blur_stack_equals_single_images(self, height, width, channels):
+        rng = np.random.default_rng(height * 43 + width + channels)
+        stack = random_stack(rng, 5, height, width, channels)
+        side = min(height, width)
+        for radius in sorted({0, 1, 3, 16, side - 1}):
+            if radius >= side:
+                continue
+            singles = [gaussian_blur(Image.from_array(a), radius).pixels for a in stack]
+            assert np.array_equal(gaussian_blur_stack(stack, radius), np.stack(singles))
+
+    def test_stack_of_one_keeps_its_shape_and_input(self):
+        stack = random_stack(np.random.default_rng(0), 1, 9, 11, 3)
+        before = stack.copy()
+        for out in (pixelate_stack(stack, 4), gaussian_blur_stack(stack, 2)):
+            assert out.shape == stack.shape and out.dtype == np.uint8
+        assert np.array_equal(stack, before)
+
+    def test_stack_rejects_what_an_image_rejects(self):
+        stack = random_stack(np.random.default_rng(1), 3, 4, 4, 1)
+        with pytest.raises(ValueError, match="factor"):
+            pixelate_stack(stack, 0)
+        with pytest.raises(ValueError, match="radius 4 needs .* got 4x4"):
+            gaussian_blur_stack(stack, 4)

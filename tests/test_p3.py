@@ -11,6 +11,7 @@ from privsplit.p3 import (
     deserialize_secret,
     p3_decode,
     p3_encode,
+    p3_public_stack,
     quantized_reference,
     secret_proportion,
     serialize_secret,
@@ -31,7 +32,7 @@ class TestDctBasis:
 
     def test_constant_block_concentrates_in_dc(self):
         img = Image.from_array(np.full((8, 8), 200, dtype=np.uint8))
-        coeffs = _quantize_image(img)
+        coeffs = _quantize_image(img.pixels[None])
         assert coeffs[0, 0, 0, 0, 0] == round(8 * (200 - 128) / 16)
         assert np.count_nonzero(coeffs) == 1
 
@@ -48,7 +49,7 @@ class TestEncode:
         img = smooth_image(seed=1)
         for threshold in (1, 5, 20):
             pkg = p3_encode(img, threshold)
-            full = _quantize_image(img).reshape(-1, 64)
+            full = _quantize_image(img.pixels[None]).reshape(-1, 64)
             public = pkg.public_coefficients.reshape(-1, 64)
             secret_map = {(b, c): v for b, c, v in pkg.secret}
             for b in range(full.shape[0]):
@@ -64,7 +65,7 @@ class TestEncode:
 
     def test_high_threshold_keeps_only_dc_in_secret(self):
         img = smooth_image(seed=2)
-        coeffs = _quantize_image(img)
+        coeffs = _quantize_image(img.pixels[None])
         top = int(np.abs(coeffs.reshape(-1, 64)[:, 1:]).max())
         pkg = p3_encode(img, threshold=max(top, 1))
         assert all(coef_id == 0 for _, coef_id, _ in pkg.secret)
@@ -152,3 +153,28 @@ class TestSecretProportion:
         p10 = secret_proportion(p3_encode(img, 10))
         p20 = secret_proportion(p3_encode(img, 20))
         assert p1 >= p10 >= p20
+
+
+class TestPublicStack:
+    """p3_public_stack gives each image's p3_encode public image."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("height, width", [(1, 1), (3, 5), (8, 8), (13, 19), (32, 32),
+                                               (41, 7)])
+    def test_equals_single_image_public_images(self, height, width, channels):
+        rng = np.random.default_rng(height * 47 + width + channels)
+        noisy = rng.integers(0, 256, size=(3, height, width, channels), dtype=np.uint8)
+        # smooth images put many coefficients on rounding ties
+        ys, xs = np.mgrid[0:height, 0:width]
+        smooth = np.stack([np.clip(np.rint(128 + 40 * np.sin(xs / (3.0 + k))
+                                           + 30 * np.cos(ys / 7.0)), 0, 255)
+                           for k in range(3)]).astype(np.uint8)
+        stack = np.concatenate([noisy, np.repeat(smooth[..., None], channels, axis=3)])
+        for threshold in (1, 5, 40):
+            singles = [p3_encode(Image.from_array(a), threshold).public_image.pixels
+                       for a in stack]
+            assert np.array_equal(p3_public_stack(stack, threshold), np.stack(singles))
+
+    def test_threshold_below_one_rejected(self):
+        with pytest.raises(ValueError, match="threshold"):
+            p3_public_stack(np.zeros((2, 8, 8, 1), dtype=np.uint8), 0)

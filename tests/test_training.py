@@ -392,6 +392,58 @@ class TestCheckpoints:
         with pytest.raises(MalformedCheckpointError, match="encoder"):
             load_checkpoint(path)
 
+    def test_forged_history_values_are_malformed(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: header["history"].update(
+            l_g_total=["x", {"a": 1}], iterations=[0, "one"]))
+        with pytest.raises(MalformedCheckpointError, match="history"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["ab", {"a": 1, "b": 2}, 2, None])
+    def test_history_column_must_be_a_list(self, tmp_path, value):
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: header["history"].update(
+            l_recon_mse=value))
+        with pytest.raises(MalformedCheckpointError, match="l_recon_mse"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["1", 1.0, True, None])
+    def test_history_iteration_must_be_int(self, tmp_path, value):
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: header["history"].update(
+            iterations=[0, value]))
+        with pytest.raises(MalformedCheckpointError, match="iterations holds"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("column", ["l_d", "l_g_ad", "l_recon_mse", "l_perceptual",
+                                        "l_g_total"])
+    @pytest.mark.parametrize("value", ["0.5", [0.5], False])
+    def test_history_loss_must_be_a_number(self, tmp_path, column, value):
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: header["history"][column].__setitem__(
+            1, value))
+        with pytest.raises(MalformedCheckpointError, match=f"{column} holds"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("column", ["l_recon_mse", "l_perceptual", "l_g_total"])
+    def test_history_gap_only_in_adversarial_terms(self, tmp_path, column):
+        path = saved_checkpoint(tmp_path)
+        rewrite_checkpoint(path, lambda header, arrays: header["history"][column].__setitem__(
+            0, None))
+        with pytest.raises(MalformedCheckpointError, match=f"{column} holds None"):
+            load_checkpoint(path)
+
+    def test_history_accepts_ints_and_adversarial_gaps(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+
+        def edit(header, arrays):
+            header["history"].update(l_d=[None, None], l_g_ad=[None, 1], l_g_total=[1, 2.5])
+
+        rewrite_checkpoint(path, edit)
+        _, history = load_checkpoint(path)
+        assert history.l_d == [None, None] and history.l_g_ad == [None, 1]
+        write_history_csv(history, tmp_path / "history.csv")
+
     def test_save_load_save_gives_identical_arrays(self, tmp_path):
         first = saved_checkpoint(tmp_path)
         second = tmp_path / "again.ckpt"
