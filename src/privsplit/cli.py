@@ -144,9 +144,9 @@ def resolve_seed(flag_seed, config: dict) -> int:
     if flag_seed is not None:
         return int(flag_seed)
     for section in ("train", "data"):
-        raw = config.get(section, {}).get("seed")
-        if raw is not None:
-            return int(raw)
+        value = _get(config, section, "seed", None, int)
+        if value is not None:
+            return value
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
@@ -415,8 +415,9 @@ def cmd_obfuscate(args) -> int:
         pkg = p3_encode(img, args.threshold)
         out = pkg.public_image
         secret_path = args.secret_out or (str(args.output) + ".secret")
+        blob = serialize_secret(pkg)
         with open(secret_path, "wb") as fh:
-            fh.write(serialize_secret(pkg))
+            fh.write(blob)
         print(f"secret part -> {secret_path}")
     elif args.method == "model":
         if not args.checkpoint:

@@ -9,12 +9,20 @@ secret part; the public image keeps the rest. The package retains the exact
 quantized public coefficients, so reinserting the secret reproduces the
 full-coefficient reference reconstruction bitwise.
 
+The DCT of a block B is the separable product C @ B @ C.T, with C the
+orthonormal 8x8 DCT-II matrix :data:`DCT8`, and the inverse is
+C.T @ (coefficients * Q) @ C. Each coefficient thus costs two 8-term dot
+products, not one 64-term sum over three-way products.
+
 The codec works on a stack of images: a uint8 array of shape
-(n, height, width, channels), whose images are stacked along the block-row
-axis of the DCT. A single :class:`Image` is a stack of one, so
+(n, height, width, channels), whose channels and images are stacked along
+the block-row axis of the DCT. A single :class:`Image` is a stack of one, so
 :func:`p3_encode`, :func:`p3_decode` and :func:`quantized_reference` run
 the same code as :func:`p3_public_stack`, which returns the public images
-of a whole stack without building their secrets.
+of a whole stack without building their secrets. A stack gives each image
+bitwise what its single call gives: ``@`` multiplies every block on its
+own, through the same 8x8 products with the same strides, so no sum mixes
+values of two blocks or depends on where a block sits in the stack.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ SECRET_MAGIC = b"P3SC"
 SECRET_VERSION = 1
 _HEADER = struct.Struct("<4sBIIBH")
 _RECORD = struct.Struct("<IBh")
+# the secret header stores the threshold as u16
+MAX_THRESHOLD = 0xFFFF
 
 
 def _dct_matrix() -> np.ndarray:
@@ -96,23 +106,22 @@ def _quantize_image(pixels: np.ndarray) -> np.ndarray:
     k * by to (k + 1) * by - 1. For a stack of one it is the package layout
     (channels, by, bx, 8, 8).
     """
-    planes = pixels.astype(np.float64) - 128.0
-    out = []
-    for ch in range(pixels.shape[3]):
-        blocks = _to_blocks(planes[:, :, :, ch])
-        coeffs = np.einsum("ij,byjk,lk->byil", DCT8, blocks, DCT8)
-        out.append(np.rint(coeffs / QUANT_TABLE).astype(np.int32))
-    return np.stack(out)
+    n, h, w, channels = pixels.shape
+    planes = pixels.transpose(3, 0, 1, 2).reshape(channels * n, h, w).astype(np.float64)
+    blocks = _to_blocks(planes - 128.0)
+    coeffs = DCT8 @ blocks @ DCT8.T
+    quantized = np.rint(coeffs / QUANT_TABLE).astype(np.int32)
+    return quantized.reshape(channels, -1, *quantized.shape[1:])
 
 
 def _dequantize_to_image(coeffs: np.ndarray, count: int, height: int,
                          width: int) -> np.ndarray:
     """Invert :func:`_quantize_image`: an (count, height, width, channels) uint8 stack."""
-    planes = []
-    for ch in range(coeffs.shape[0]):
-        spatial = np.einsum("ji,byjk,kl->byil", DCT8, coeffs[ch] * QUANT_TABLE, DCT8)
-        planes.append(_from_blocks(spatial, count, height, width) + 128.0)
-    return to_u8(np.stack(planes, axis=-1))
+    channels = coeffs.shape[0]
+    blocks = coeffs.reshape(-1, *coeffs.shape[2:]) * QUANT_TABLE
+    spatial = DCT8.T @ blocks @ DCT8
+    planes = _from_blocks(spatial, channels * count, height, width) + 128.0
+    return to_u8(planes.reshape(channels, count, height, width).transpose(1, 2, 3, 0))
 
 
 def _public_mask(coeffs: np.ndarray, threshold: int) -> np.ndarray:
@@ -121,8 +130,8 @@ def _public_mask(coeffs: np.ndarray, threshold: int) -> np.ndarray:
     Every DC goes to the secret; an AC goes to the secret iff its magnitude
     is strictly larger than the threshold.
     """
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
+    if not 1 <= threshold <= MAX_THRESHOLD:
+        raise ValueError(f"threshold must be in [1, {MAX_THRESHOLD}], got {threshold}")
     keep = np.abs(coeffs) <= threshold
     keep[..., 0, 0] = False  # DC is always secret
     return keep

@@ -90,12 +90,14 @@ def test_sweep_with_invalid_proportion_exits_1_before_any_run(tmp_path, capsys):
 
 
 # sha256 of the float64 bytes each image baseline encrypts make_tiny_image_dataset(seed=0)
-# into, taken from the per-image code the stack code replaced; einsum's summation
-# order is part of the P3 digest (here x86-64, numpy 2.4, OpenBLAS 0.3.31)
+# into. Pixelation and blur were taken from the per-image code the stack code
+# replaced. P3 was taken from the matmul DCT, whose 8x8 products follow the BLAS
+# kernel's summation order (here x86-64, numpy 2.4, OpenBLAS 0.3.31); it differs
+# from the einsum codec only at rounding ties, which test_p3.TestEinsumOracle bounds
 BASELINE_DIGESTS = {
     "Pixelation(20)": "b4b48d721d7433251a3f707959e201659b951697459a69f82fd4a680fe92b9b9",
     "Blurring(16)": "80b6fc1c6c456909296236ea49e204eef03fb8d1e9fded06aec055b6f3e391ce",
-    "P3(1)": "3d2b3bc0eff00addcaadf882f2271c425daf467b25ce6bed99202196e61c0917",
+    "P3(1)": "2faf896f82fde2b15ef2e406c568646fd094c5f412f722c410ec60db87081a87",
 }
 
 
@@ -143,3 +145,74 @@ def test_obfuscate_baseline_matches_library(tmp_path, method, flag, library):
     assert secret.exists() == (method == "p3")
     if method == "p3":
         assert secret.read_bytes() == serialize_secret(p3_encode(image, 2))
+
+
+def test_obfuscate_p3_threshold_beyond_u16_exits_1_and_writes_nothing(tmp_path, capsys):
+    save_pixmap(make_tiny_image_dataset(per_class=20, seed=4).images[0], tmp_path / "in.pgm")
+    out = tmp_path / "out.pgm"
+    assert cli.main(["obfuscate", "--method", "p3", "--input", str(tmp_path / "in.pgm"),
+                     "--output", str(out), "--threshold", "70000"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "70000" in err[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
+
+
+def test_attack_p3_threshold_beyond_u16_exits_1_and_writes_nothing(tmp_path, capsys):
+    config = tmp_path / "attack.ini"
+    config.write_text("[data]\nkind = tiny\nper_class = 20\n\n"
+                      "[attack]\nmethods = p3\np3_threshold = 70000\niterations = 5\n")
+    assert cli.main(["attack", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "70000" in err[0]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section", ["train", "data"])
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_bad_seed_in_config_exits_2(tmp_path, capsys, section, value):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{section}]\nseed = {value}\n")
+    assert cli.main(["train-toy", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: bad value for {section}.seed: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[train]\niterationz = 5\n")
+    assert cli.main(["train-toy", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.strip() == "error: unknown key 'iterationz' in section [train]"
+    assert not (tmp_path / "run").exists()
+
+
+def test_obfuscate_missing_input_exits_3(tmp_path, capsys):
+    assert cli.main(["obfuscate", "--method", "blur", "--input", str(tmp_path / "absent.pgm"),
+                     "--output", str(tmp_path / "out.pgm")]) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert not (tmp_path / "out.pgm").exists()
+
+
+def test_report_summarises_a_finished_train_toy_run(tmp_path, capsys):
+    config = tmp_path / "toy.ini"
+    config.write_text("[data]\npoints_per_cluster = 20\n\n[train]\niterations = 3\n\n"
+                      "[attack]\niterations = 5\n\n[plot]\npoints_per_cluster = 5\n")
+    run = tmp_path / "run"
+    assert cli.main(["train-toy", "--config", str(config), "--out", str(run)]) == 0
+    with open(run / "history.csv", newline="", encoding="ascii") as fh:
+        header, first, *_, last = list(csv.reader(fh))
+    capsys.readouterr()
+    assert cli.main(["report", "--run", str(run)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "== history.csv (3 rows)"  # one row per iteration
+    assert lines[1:] == [f"  {col}: first {a or '-'} last {b or '-'}"
+                         for col, a, b in zip(header[1:], first[1:], last[1:])]
+
+
+@pytest.mark.parametrize("make_dir", [True, False], ids=["empty", "absent"])
+def test_report_without_run_artifacts_exits_3(tmp_path, capsys, make_dir):
+    run = tmp_path / "run"
+    if make_dir:
+        run.mkdir()
+    assert cli.main(["report", "--run", str(run)]) == 3
+    assert capsys.readouterr().err.strip() == f"error: no run artifacts found in {run}"

@@ -2,11 +2,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from privsplit.image import Image
+from privsplit.datasets import make_tiny_image_dataset
+from privsplit.image import Image, to_u8
 from privsplit.obfuscation import gaussian_blur
 from privsplit.p3 import (
     DCT8,
+    MAX_THRESHOLD,
+    QUANT_TABLE,
+    SECRET_MAGIC,
+    SECRET_VERSION,
     P3PackageError,
     deserialize_secret,
     p3_decode,
@@ -15,7 +22,10 @@ from privsplit.p3 import (
     quantized_reference,
     secret_proportion,
     serialize_secret,
+    _from_blocks,
+    _public_mask,
     _quantize_image,
+    _to_blocks,
 )
 
 
@@ -73,6 +83,12 @@ class TestEncode:
     def test_threshold_below_one_rejected(self):
         with pytest.raises(ValueError, match="threshold"):
             p3_encode(smooth_image(), 0)
+
+    def test_threshold_must_fit_the_u16_header(self):
+        pkg = p3_encode(smooth_image(), MAX_THRESHOLD)
+        assert deserialize_secret(serialize_secret(pkg))[0]["threshold"] == MAX_THRESHOLD
+        with pytest.raises(ValueError, match="threshold"):
+            p3_encode(smooth_image(), MAX_THRESHOLD + 1)
 
     def test_non_multiple_of_eight_dimensions(self):
         rng = np.random.default_rng(3)
@@ -178,3 +194,78 @@ class TestPublicStack:
     def test_threshold_below_one_rejected(self):
         with pytest.raises(ValueError, match="threshold"):
             p3_public_stack(np.zeros((2, 8, 8, 1), dtype=np.uint8), 0)
+
+
+# The codec before the matmul DCT: three-operand einsums, one channel at a time.
+def einsum_scaled_coefficients(pixels):
+    """Unrounded coefficient / Q of an (n, h, w, c) stack, (channels, n * by, bx, 8, 8)."""
+    planes = pixels.astype(np.float64) - 128.0
+    return np.stack([np.einsum("ij,byjk,lk->byil", DCT8, _to_blocks(planes[..., ch]), DCT8)
+                     / QUANT_TABLE for ch in range(pixels.shape[3])])
+
+
+def einsum_dequantize(coeffs, count, height, width):
+    planes = [_from_blocks(np.einsum("ji,byjk,kl->byil", DCT8, coeffs[ch] * QUANT_TABLE, DCT8),
+                          count, height, width) + 128.0 for ch in range(coeffs.shape[0])]
+    return to_u8(np.stack(planes, axis=-1))
+
+
+def random_rgb_stack():
+    return np.random.default_rng(17).integers(0, 256, size=(12, 29, 45, 3), dtype=np.uint8)
+
+
+def tiny_dataset_stack():
+    return np.stack([img.pixels for img in make_tiny_image_dataset(seed=0).images])
+
+
+class TestEinsumOracle:
+    """The matmul DCT equals the einsum codec except on rounding ties.
+
+    The two sum the same products in another order, so coefficient / Q may
+    differ by a few ulps; that moves a quantized coefficient only where it
+    lies on a half-integer, and then by one step.
+    """
+
+    @pytest.mark.parametrize("make_stack", [tiny_dataset_stack, random_rgb_stack])
+    def test_coefficients_and_public_pixels(self, make_stack):
+        stack = make_stack()
+        n, height, width, channels = stack.shape
+        scaled = einsum_scaled_coefficients(stack)
+        oracle = np.rint(scaled).astype(np.int32)
+        ties = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-9
+        diff = _quantize_image(stack) - oracle
+        assert not diff[~ties].any()
+        assert np.all(np.abs(diff[diff != 0]) == 1)
+
+        public_oracle = einsum_dequantize(np.where(_public_mask(oracle, 1), oracle, 0),
+                                          n, height, width)
+        changed = p3_public_stack(stack, 1) != public_oracle
+        changed_planes = changed.transpose(3, 0, 1, 2).reshape(channels * n, height, width)
+        changed_blocks = _to_blocks(changed_planes).any(axis=(2, 3))
+        tie_blocks = (diff != 0).any(axis=(3, 4)).reshape(changed_blocks.shape)
+        assert not (changed_blocks & ~tie_blocks).any()
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(image=st.tuples(st.integers(1, 40), st.integers(1, 40), st.sampled_from([1, 3]))
+           .flatmap(lambda shape: arrays(np.uint8, shape)),
+           threshold=st.integers(1, MAX_THRESHOLD))
+    def test_decode_of_the_wire_secret_is_the_quantized_reference(self, image, threshold):
+        img = Image.from_array(image)
+        pkg = p3_encode(img, threshold)
+        meta, entries = deserialize_secret(serialize_secret(pkg))
+        assert meta == {"width": img.width, "height": img.height,
+                        "channels": img.channels, "threshold": threshold}
+        decoded = p3_decode(replace(pkg, secret=entries))
+        assert np.array_equal(decoded.pixels, quantized_reference(img).pixels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.tuples(st.sampled_from([b"", SECRET_MAGIC,
+                                            SECRET_MAGIC + bytes([SECRET_VERSION])]),
+                          st.binary(max_size=64)).map(b"".join))
+    def test_deserialize_raises_only_p3_package_error(self, blob):
+        try:
+            deserialize_secret(blob)
+        except P3PackageError:
+            pass
