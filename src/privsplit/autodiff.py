@@ -63,19 +63,10 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def values(self) -> np.ndarray:
-        """Flat row-major view of the entries."""
-        return self.data.reshape(-1)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        """Same values, cut out of the graph."""
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

@@ -2,9 +2,22 @@
 
 Subcommands: check, train-toy, train-image, obfuscate, attack,
 sweep-proportion, report. Runs are driven by an INI config (sections of
-key=value pairs); command-line flags override file values, and every run
-writes the resolved config plus a metadata sidecar (the only place a
+key=value pairs, read literally: no ``%`` interpolation and no
+``[DEFAULT]`` section); command-line flags override file values, and every
+run writes the resolved config plus a metadata sidecar (the only place a
 timestamp appears) next to its outputs.
+
+The keys of ``[data]``, ``[train]`` and ``[attack]`` are the field names of
+:class:`~privsplit.datasets.ClusterSpec`, :class:`~privsplit.training.TrainConfig`
+and :class:`~privsplit.evaluation.AttackConfig`, whose defaults are the only
+ones; ``lam`` is spelled ``lambda``, and ``TrainConfig.input_width`` comes
+from the data. The seeds default to the run seed (the attack's to run seed
++ 1). The keys that are not fields are ``[data]`` ``kind``, ``source_dir``,
+``size``, ``class_count`` and ``per_class`` (the tiny-image set);
+``[attack]`` ``methods``, ``model_checkpoint``, ``msednet_checkpoint``,
+``pixelate_factor``, ``blur_radius`` and ``p3_threshold``; ``[sweep]``
+``proportions``; and ``[plot]`` ``points_per_cluster``. A sweep trains each
+proportion for ``[train] iterations``.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage error, 3 I/O error.
 """
@@ -18,7 +31,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -74,6 +87,8 @@ from .training import (
 )
 
 SEED_ENV = "PRIVSPLIT_SEED"
+# the image baselines' defaults, for `attack` and `obfuscate` alike
+PIXELATE_FACTOR, BLUR_RADIUS, P3_THRESHOLD = 20, 16, 1
 
 
 class CliError(Exception):
@@ -89,27 +104,42 @@ def usage_error(message: str) -> CliError:
 # ---------------------------------------------------------------------------
 # config handling
 
-KNOWN_KEYS = {
-    "data": {"kind", "cluster_count", "points_per_cluster", "center_box",
-             "cluster_std", "seed", "size", "class_count", "per_class", "source_dir"},
-    "train": {"iterations", "batch_size", "lambda", "alpha", "beta1", "beta2",
-              "epsilon", "noise_std", "seed", "ablation", "feature_width",
-              "privacy_proportion", "use_perceptual", "early_stop"},
-    "attack": {"hidden_width", "iterations", "batch_size", "alpha", "seed",
-               "methods", "model_checkpoint", "msednet_checkpoint",
+# INI keys that are not config fields (see the module docstring)
+_EXTRA_KEYS = {
+    "data": {"kind", "source_dir", "size", "class_count", "per_class"},
+    "train": set(),
+    "attack": {"methods", "model_checkpoint", "msednet_checkpoint",
                "pixelate_factor", "blur_radius", "p3_threshold"},
-    "sweep": {"proportions", "iterations"},
+    "sweep": {"proportions"},
     "plot": {"points_per_cluster"},
 }
+_SECTION_CONFIGS = {"data": ClusterSpec, "train": TrainConfig, "attack": AttackConfig}
+_INI_NAMES = {"lam": "lambda"}
+_TINY_KEYS = {"source_dir": str, "size": int, "class_count": int, "per_class": int, "seed": int}
+
+
+def _ini_fields(cls) -> list:
+    """(INI key, field) of each field of the dataclass `cls` that an INI may set.
+
+    `TrainConfig.input_width` is always the dataset's width, so it is no key.
+    """
+    return [(_INI_NAMES.get(f.name, f.name), f) for f in fields(cls) if f.name != "input_width"]
+
+
+KNOWN_KEYS = {section: set(keys) for section, keys in _EXTRA_KEYS.items()}
+for _section, _cls in _SECTION_CONFIGS.items():
+    KNOWN_KEYS[_section] |= {key for key, _ in _ini_fields(_cls)}
 
 
 def load_config(path) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise usage_error(f"cannot parse config {path}: {exc}") from exc
+    if parser.defaults():
+        raise usage_error("config keys must sit in a named section, not [DEFAULT]")
     config: dict[str, dict[str, str]] = {}
     for section in parser.sections():
         if section not in KNOWN_KEYS:
@@ -156,67 +186,35 @@ def resolve_seed(flag_seed, config: dict) -> int:
     return 0
 
 
-def cluster_spec_from(config: dict, seed: int) -> ClusterSpec:
-    return ClusterSpec(
-        cluster_count=_get(config, "data", "cluster_count", 10, int),
-        points_per_cluster=_get(config, "data", "points_per_cluster", 500, int),
-        center_box=_get(config, "data", "center_box", 4.0, float),
-        cluster_std=_get(config, "data", "cluster_std", 0.25, float),
-        seed=_get(config, "data", "seed", seed, int),
-    )
+_CONVERTERS = {"int": int, "float": float, "bool": _bool, "str": str, "Fraction": Fraction}
 
 
-def train_config_from(config: dict, seed: int, input_width: int,
-                      default_perceptual: bool) -> TrainConfig:
-    return TrainConfig(
-        iterations=_get(config, "train", "iterations", 2000, int),
-        batch_size=_get(config, "train", "batch_size", 64, int),
-        lam=_get(config, "train", "lambda", 0.01, float),
-        alpha=_get(config, "train", "alpha", 1e-3, float),
-        beta1=_get(config, "train", "beta1", 0.9, float),
-        beta2=_get(config, "train", "beta2", 0.999, float),
-        epsilon=_get(config, "train", "epsilon", 1e-8, float),
-        noise_std=_get(config, "train", "noise_std", 1.0, float),
-        seed=_get(config, "train", "seed", seed, int),
-        ablation=_get(config, "train", "ablation", "full", str),
-        input_width=input_width,
-        feature_width=_get(config, "train", "feature_width", 128, int),
-        privacy_proportion=_get(config, "train", "privacy_proportion",
-                                Fraction(1, 64), Fraction),
-        use_perceptual=_get(config, "train", "use_perceptual",
-                            default_perceptual, _bool),
-        early_stop=_get(config, "train", "early_stop", False, _bool),
-    )
+def _from_section(cls, config: dict, section: str, **defaults):
+    """`cls` from the INI values of `section`; `defaults`, then the field defaults, fill the rest."""
+    for key, f in _ini_fields(cls):
+        if key in config.get(section, {}):
+            defaults[f.name] = _get(config, section, key, None, _CONVERTERS[f.type])
+    return cls(**defaults)
 
 
 def attack_config_from(config: dict, seed: int) -> AttackConfig:
-    return AttackConfig(
-        hidden_width=_get(config, "attack", "hidden_width", 128, int),
-        iterations=_get(config, "attack", "iterations", 800, int),
-        batch_size=_get(config, "attack", "batch_size", 64, int),
-        alpha=_get(config, "attack", "alpha", 1e-3, float),
-        seed=_get(config, "attack", "seed", seed + 1, int),
-    )
+    return _from_section(AttackConfig, config, "attack", seed=seed + 1)
 
 
 def dataset_from(config: dict, seed: int) -> LabeledDataset:
     kind = _get(config, "data", "kind", "toy", str)
     if kind == "toy":
-        return gen_toy_clusters(cluster_spec_from(config, seed))
+        return gen_toy_clusters(_from_section(ClusterSpec, config, "data", seed=seed))
     if kind == "tiny":
-        return make_tiny_image_dataset(
-            source_dir=config.get("data", {}).get("source_dir"),
-            size=_get(config, "data", "size", 32, int),
-            class_count=_get(config, "data", "class_count", 10, int),
-            per_class=_get(config, "data", "per_class", 80, int),
-            seed=_get(config, "data", "seed", seed, int),
-        )
+        tiny = {key: _get(config, "data", key, None, convert)
+                for key, convert in _TINY_KEYS.items() if key in config.get("data", {})}
+        return make_tiny_image_dataset(**{"seed": seed, **tiny})
     raise usage_error(f"data.kind must be toy or tiny, got {kind!r}")
 
 
 def write_run_files(outdir: Path, command: str, config: dict, seed: int) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, values in config.items():
         parser[section] = {k: str(v) for k, v in values.items()}
     if "train" not in parser:
@@ -338,7 +336,7 @@ def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
     dataset = dataset_from(config, seed)
     if dataset.width != 2:
         raise usage_error("train-toy needs 2-D data (data.kind = toy)")
-    tcfg = train_config_from(config, seed, input_width=2, default_perceptual=False)
+    tcfg = _from_section(TrainConfig, config, "train", seed=seed, input_width=2)
     write_run_files(outdir, "train-toy", config, tcfg.seed)
 
     plot_n = _get(config, "plot", "points_per_cluster", 200, int)
@@ -375,8 +373,8 @@ def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
 
 def cmd_train_image(config: dict, outdir: Path, seed: int) -> int:
     dataset = dataset_from({**config, "data": {**config.get("data", {}), "kind": "tiny"}}, seed)
-    tcfg = train_config_from(config, seed, input_width=dataset.width,
-                             default_perceptual=True)
+    tcfg = _from_section(TrainConfig, config, "train", seed=seed, input_width=dataset.width,
+                         use_perceptual=True)
     write_run_files(outdir, "train-image", config, tcfg.seed)
     bundle, history = train(dataset.features[dataset.train_idx], tcfg)
     save_checkpoint(bundle, history, outdir / "checkpoint.npz")
@@ -493,17 +491,17 @@ def build_methods(config: dict, dataset: LabeledDataset, noise_std: float) -> li
     methods = []
     for name in (m.strip() for m in raw.split(",") if m.strip()):
         if name == "pixelate":
-            factor = _get(config, "attack", "pixelate_factor", 20, int)
+            factor = _get(config, "attack", "pixelate_factor", PIXELATE_FACTOR, int)
             methods.append(_image_space_method(
                 f"Pixelation({factor})", dataset,
                 lambda px, f=factor: pixelate_stack(px, f)))
         elif name == "blur":
-            radius = _get(config, "attack", "blur_radius", 16, int)
+            radius = _get(config, "attack", "blur_radius", BLUR_RADIUS, int)
             methods.append(_image_space_method(
                 f"Blurring({radius})", dataset,
                 lambda px, r=radius: gaussian_blur_stack(px, r)))
         elif name == "p3":
-            threshold = _get(config, "attack", "p3_threshold", 1, int)
+            threshold = _get(config, "attack", "p3_threshold", P3_THRESHOLD, int)
             method = _image_space_method(
                 f"P3({threshold})", dataset, lambda px, t=threshold: p3_public_stack(px, t))
             method.proportion = _mean_secret_proportion(dataset, threshold)
@@ -535,7 +533,7 @@ def _mean_secret_proportion(dataset: LabeledDataset, threshold: int,
 
 def cmd_attack(config: dict, outdir: Path, seed: int) -> int:
     dataset = dataset_from(config, seed)
-    noise_std = _get(config, "train", "noise_std", 1.0, float)
+    noise_std = _get(config, "train", "noise_std", TrainConfig.noise_std, float)
     methods = build_methods(config, dataset, noise_std)
     acfg = attack_config_from(config, seed)
     write_run_files(outdir, "attack", config, seed)
@@ -550,8 +548,8 @@ def cmd_attack(config: dict, outdir: Path, seed: int) -> int:
 def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
     dataset = dataset_from(config, seed)
     raw = config.get("sweep", {}).get("proportions", "1/64,1/32,1/16,1/8,1/4,1/2")
-    base = train_config_from(config, seed, input_width=dataset.width,
-                             default_perceptual=dataset.meta.get("kind") == "tiny-images")
+    base = _from_section(TrainConfig, config, "train", seed=seed, input_width=dataset.width,
+                         use_perceptual=dataset.meta.get("kind") == "tiny-images")
     # every proportion is checked before the first run trains or writes a file
     sweep = [replace(base, privacy_proportion=Fraction(p.strip()))
              for p in raw.split(",") if p.strip()]
@@ -633,13 +631,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("pixelate", "blur", "p3", "model"), required=True)
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--output", type=Path, required=True)
-    p.add_argument("--factor", type=int, default=20, help="pixelation grid size")
-    p.add_argument("--radius", type=int, default=16, help="blur radius")
-    p.add_argument("--threshold", type=int, default=1, help="coefficient threshold")
+    p.add_argument("--factor", type=int, default=PIXELATE_FACTOR, help="pixelation grid size")
+    p.add_argument("--radius", type=int, default=BLUR_RADIUS, help="blur radius")
+    p.add_argument("--threshold", type=int, default=P3_THRESHOLD, help="coefficient threshold")
     p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--secret-out", type=Path, default=None)
     p.add_argument("--recon-out", type=Path, default=None)
-    p.add_argument("--noise-std", type=float, default=1.0)
+    p.add_argument("--noise-std", type=float, default=TrainConfig.noise_std)
 
     p = sub.add_parser("report", help="summarize a run directory")
     p.add_argument("--run", type=Path, required=True)

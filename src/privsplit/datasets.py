@@ -113,14 +113,6 @@ def gen_toy_clusters(spec: ClusterSpec) -> LabeledDataset:
     )
 
 
-def denormalize_toy(dataset: LabeledDataset, features: np.ndarray) -> np.ndarray:
-    return features * dataset.meta["scale"] + dataset.meta["mean"]
-
-
-def normalize_toy(dataset: LabeledDataset, points: np.ndarray) -> np.ndarray:
-    return (points - dataset.meta["mean"]) / dataset.meta["scale"]
-
-
 # ---------------------------------------------------------------------------
 # tiny images
 

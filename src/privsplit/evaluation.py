@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -180,8 +180,7 @@ def compare_methods(dataset: LabeledDataset, methods: list[ObfuscationMethod],
 
 def _reseed(config: AttackConfig, stream: np.random.SeedSequence) -> AttackConfig:
     seed = int(stream.generate_state(1, np.uint64)[0] % np.iinfo(np.int64).max)
-    return AttackConfig(hidden_width=config.hidden_width, iterations=config.iterations,
-                        batch_size=config.batch_size, alpha=config.alpha, seed=seed)
+    return replace(config, seed=seed)
 
 
 REPORT_COLUMNS = ("method", "accuracy", "chance", "psnr_recon_db",

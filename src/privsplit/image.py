@@ -46,12 +46,6 @@ class Image:
         h, w, c = arr.shape
         return cls(width=w, height=h, channels=c, pixels=arr.astype(np.uint8))
 
-    def gray(self) -> np.ndarray:
-        """(h, w) float64 view-style copy for single-channel work."""
-        if self.channels != 1:
-            raise ValueError("gray() needs a single-channel image")
-        return self.pixels[:, :, 0].astype(np.float64)
-
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Deterministic round-half-away-from-zero."""

@@ -11,7 +11,6 @@ provides the feature-space reconstruction term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -50,17 +49,6 @@ class ModelConfig:
     use_perceptual: bool = False
     seed: int = 0
 
-    @classmethod
-    def with_proportion(cls, proportion: Fraction | float, **kwargs) -> "ModelConfig":
-        """Privacy width as a fraction of the feature width (must divide evenly)."""
-        cfg = cls(**kwargs)
-        width = Fraction(proportion) * cfg.feature_width
-        if width.denominator != 1:
-            raise ValueError(
-                f"proportion {proportion} of feature width {cfg.feature_width} is not an integer")
-        cfg.privacy_width = int(width)
-        return cfg
-
 
 @dataclass
 class Layer:
@@ -95,9 +83,6 @@ class ModelBundle:
 
     def discriminator_parameters(self) -> list[Tensor]:
         return [t for layer in self.discriminator for t in (layer.w, layer.b)]
-
-    def perceptual_parameters(self) -> list[Tensor]:
-        return [t for layer in self.perceptual for t in (layer.w, layer.b)]
 
     def all_parameters(self) -> list[Tensor]:
         return self.generator_parameters() + self.discriminator_parameters()

@@ -47,21 +47,16 @@ def _batch(p, name: str) -> Tensor:
     return t
 
 
-def discriminator_loss(d_on_recon, d_on_encrypted) -> Tensor:
-    """Mean BCE of D's outputs against (reconstructed=1, encrypted=0)."""
-    d_r = _batch(d_on_recon, "discriminator_loss")
-    d_e = _batch(d_on_encrypted, "discriminator_loss")
-    return tmean(bce(d_r, 1)) + tmean(bce(d_e, 0))
-
-
 def generator_adversarial_loss(d_on_recon, d_on_encrypted) -> Tensor:
-    """The encryption model's adversarial term.
+    """Mean BCE of D's outputs against (reconstructed=1, encrypted=0).
 
-    Numerically identical to :func:`discriminator_loss` by design (the two
-    networks collaborate on one objective); which parameters it trains is
-    decided by the caller applying updates.
+    The one adversarial objective of both the discriminator and the
+    encryption model (the two networks collaborate on it); which parameters
+    it trains is decided by the caller applying updates.
     """
-    return discriminator_loss(d_on_recon, d_on_encrypted)
+    d_r = _batch(d_on_recon, "generator_adversarial_loss")
+    d_e = _batch(d_on_encrypted, "generator_adversarial_loss")
+    return tmean(bce(d_r, 1)) + tmean(bce(d_e, 0))
 
 
 def reconstruction_loss(x_r, x, phi: Callable[[Tensor], Tensor] | None = None,
@@ -83,37 +78,18 @@ def reconstruction_loss(x_r, x, phi: Callable[[Tensor], Tensor] | None = None,
     return recon_mse, perceptual, combined
 
 
-def msednet_loss(x, x_r, x_e, phi: Callable[[Tensor], Tensor], lam: float = 0.01) -> Tensor:
-    """Reconstruction loss minus the feature-space distance of the encrypted output.
+def msednet_loss(recon_combined: Tensor, x, x_e, phi: Callable[[Tensor], Tensor]) -> Tensor:
+    """The reconstruction loss minus the feature-space distance of the encrypted output.
 
-    Minimizing this keeps x_r close to x while pushing phi(x_e) away from
-    phi(x) -- the decomposition-only baseline with no discriminator.
+    `recon_combined` is :func:`reconstruction_loss`'s third value. Minimizing
+    this keeps x_r close to x while pushing phi(x_e) away from phi(x) -- the
+    decomposition-only baseline with no discriminator.
     """
     x_e = as_tensor(x_e)
     x = as_tensor(x)
     if x_e.data.shape != x.data.shape:
         raise ValueError(f"msednet_loss shape mismatch: {x_e.data.shape} vs {x.data.shape}")
-    _, _, combined = reconstruction_loss(x_r, x, phi, lam)
-    encrypted_distance = tmean(square(phi(x_e) - phi(x)))
-    return combined - encrypted_distance
-
-
-@dataclass
-class LossBreakdown:
-    """One training step's loss components; `perceptual` is unweighted."""
-
-    adversarial: float
-    recon_mse: float
-    perceptual: float
-    total_generator: float
-    discriminator: float
-    lam: float
-
-    @classmethod
-    def build(cls, adversarial: float, recon_mse: float, perceptual: float,
-              discriminator: float, lam: float) -> "LossBreakdown":
-        total = adversarial + recon_mse + lam * perceptual
-        return cls(adversarial, recon_mse, perceptual, total, discriminator, lam)
+    return recon_combined - tmean(square(phi(x_e) - phi(x)))
 
 
 # ---------------------------------------------------------------------------

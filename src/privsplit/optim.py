@@ -1,47 +1,10 @@
-"""Adam optimizer: the functional reference step and a flat in-place optimizer."""
+"""Adam optimizer over a flat parameter buffer, updated in place."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .autodiff import Tensor
-
-
-@dataclass
-class AdamState:
-    """Moment estimates for one flat parameter vector."""
-
-    step: int
-    m: np.ndarray
-    v: np.ndarray
-    alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    @classmethod
-    def init(cls, size: int, alpha: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return cls(step=0, m=np.zeros(size), v=np.zeros(size),
-                   alpha=alpha, beta1=beta1, beta2=beta2, epsilon=epsilon)
-
-
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update. Returns new params and new state."""
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
-    if params.shape != grads.shape or params.size != state.m.size:
-        raise ValueError(
-            f"adam_step length mismatch: params {params.size}, grads {grads.size}, state {state.m.size}")
-    t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = params - state.alpha * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return new_params, replace(state, step=t, m=m, v=v)
 
 
 # Elements per block of the in-place update: 256 KB per float64 vector, so the
@@ -56,11 +19,13 @@ class Adam:
     At construction each tensor's ``data`` becomes a view into one flat
     buffer, and the moments are one flat ``m`` and ``v``. A step gathers the
     gradients (None counts as zero) into one flat vector, then walks the
-    buffer in blocks of ``_BLOCK`` elements. On each block it runs
-    :func:`adam_step`'s arithmetic in its exact order, every pass in place or
-    into one block-sized scratch buffer, so a block is read from memory once
-    rather than once per pass. Every operation is elementwise, so the
-    parameters equal a per-tensor :func:`adam_step` bitwise.
+    buffer in blocks of ``_BLOCK`` elements. On each block it runs the
+    bias-corrected Adam update (Kingma & Ba, arXiv 1412.6980, Algorithm 1) in
+    the textbook order of its operations, every pass in place or into one
+    block-sized scratch buffer, so a block is read from memory once rather
+    than once per pass. Every operation is elementwise, so the parameters
+    equal a per-tensor update bitwise (``tests/test_optim.py`` keeps that
+    reference).
     """
 
     def __init__(self, params: list[Tensor], alpha: float = 1e-3, beta1: float = 0.9,

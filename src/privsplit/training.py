@@ -1,4 +1,4 @@
-"""Collaborative training loop, ablation trainers, and checkpoints.
+"""Collaborative training loop, its ablations, and checkpoints.
 
 Each iteration samples one minibatch, generates the reconstructed and
 encrypted outputs once, and backpropagates the shared objective once: the
@@ -44,7 +44,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, _activation_fns, backward, square, tmean
+from .autodiff import NonFiniteError, Tensor, _activation_fns, backward
 from .models import (
     Layer,
     ModelBundle,
@@ -59,7 +59,7 @@ from .models import (
     network_widths,
     perceptual_features,
 )
-from .objectives import generator_adversarial_loss, reconstruction_loss
+from .objectives import generator_adversarial_loss, msednet_loss, reconstruction_loss
 from .optim import Adam
 
 CHECKPOINT_MAGIC = "privsplit-checkpoint"
@@ -84,14 +84,13 @@ class CheckpointVersionError(ValueError):
 
 @dataclass
 class TrainConfig:
-    iterations: int
+    iterations: int = 2000
     batch_size: int = 64
     lam: float = 0.01
     alpha: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    alpha_d: float | None = None  # discriminator rate; None shares alpha
     noise_std: float = 1.0
     seed: int = 0
     ablation: str = "full"
@@ -99,9 +98,6 @@ class TrainConfig:
     feature_width: int = 128
     privacy_proportion: Fraction = Fraction(1, 64)
     use_perceptual: bool = False
-    early_stop: bool = False
-    early_stop_window: int = 100
-    early_stop_tol: float = 1e-5
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -173,13 +169,11 @@ def _check_finite(iteration: int, **terms: float) -> None:
 def train(dataset, config: TrainConfig,
           snapshot_iters: Iterable[int] = (),
           snapshot_fn: Callable[[int, ModelBundle], None] | None = None,
-          update_recorder: Callable[[str], None] | None = None,
           ) -> tuple[ModelBundle, TrainHistory]:
     """Run `config.iterations` training iterations and return the models.
 
     `snapshot_fn(iteration, bundle)` fires whenever the number of completed
     iterations hits one of `snapshot_iters` (0 means the initial state).
-    `update_recorder(phase)` observes the "D"/"G" update sequencing.
     """
     features = _features_of(dataset)
     if features.shape[1] != config.input_width:
@@ -207,9 +201,7 @@ def train(dataset, config: TrainConfig,
     opt_g = Adam(bundle.generator_parameters(), alpha=config.alpha, **moments)
     opt_d = None
     if config.ablation == "full":
-        opt_d = Adam(bundle.discriminator_parameters(),
-                     alpha=config.alpha if config.alpha_d is None else config.alpha_d,
-                     **moments)
+        opt_d = Adam(bundle.discriminator_parameters(), alpha=config.alpha, **moments)
 
     phi = None
     if config.use_perceptual or config.ablation == "msednet":
@@ -245,8 +237,7 @@ def train(dataset, config: TrainConfig,
                 l_ad_val = None
                 l_d_val = None
             else:  # msednet
-                encrypted_distance = tmean(square(phi(x_e) - phi(x)))
-                total = recon_combined - encrypted_distance
+                total = msednet_loss(recon_combined, x, x_e, phi)
                 l_ad_val = None
                 l_d_val = None
         except NonFiniteError as exc:
@@ -262,46 +253,12 @@ def train(dataset, config: TrainConfig,
         backward(total)
         if opt_d is not None:
             opt_d.step()
-            if update_recorder is not None:
-                update_recorder("D")
         opt_g.step()
-        if update_recorder is not None:
-            update_recorder("G")
 
         history.append(i, l_d_val, l_ad_val, mse_val, perc_val, total_val)
         snapshot(i + 1)
 
-        if config.early_stop and _moving_average_settled(
-                history.l_g_total, config.early_stop_window, config.early_stop_tol):
-            break
-
     return bundle, history
-
-
-def _moving_average_settled(values: list[float], window: int, tol: float) -> bool:
-    if len(values) < window + 1:
-        return False
-    now = sum(values[-window:]) / window
-    prev = sum(values[-window - 1:-1]) / window
-    return abs(now - prev) < tol
-
-
-def train_collaborative(dataset, config: TrainConfig, **kwargs):
-    if config.ablation != "full":
-        raise ValueError("train_collaborative requires ablation='full'")
-    return train(dataset, config, **kwargs)
-
-
-def train_ablation(dataset, config: TrainConfig, **kwargs):
-    if config.ablation != "no_collaborative":
-        raise ValueError("train_ablation requires ablation='no_collaborative'")
-    return train(dataset, config, **kwargs)
-
-
-def train_msednet(dataset, config: TrainConfig, **kwargs):
-    if config.ablation != "msednet":
-        raise ValueError("train_msednet requires ablation='msednet'")
-    return train(dataset, config, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -339,12 +339,12 @@ class TestOpGradientsProperty:
 class TestTensorBasics:
     def test_values_flat_row_major(self):
         t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(t.values, [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(t.data.reshape(-1), [1.0, 2.0, 3.0, 4.0])
 
     def test_grad_matches_length_when_present(self):
         t = Tensor(np.ones((2, 3)), requires_grad=True)
         backward(tsum(t * t))
-        assert t.grad.size == t.values.size
+        assert t.grad.size == t.data.size
 
     def test_more_than_two_dims_rejected(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,27 @@
 import csv
 import hashlib
+import tempfile
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privsplit import cli
 from privsplit.autodiff import Tensor
-from privsplit.datasets import features_to_pixels, make_tiny_image_dataset, pixels_to_features
+from privsplit.datasets import (
+    ClusterSpec,
+    features_to_pixels,
+    make_tiny_image_dataset,
+    pixels_to_features,
+)
+from privsplit.evaluation import AttackConfig
 from privsplit.image import load_pixmap, save_pixmap
 from privsplit.obfuscation import gaussian_blur, pixelate
 from privsplit.models import NoiseSpec, encrypt
 from privsplit.p3 import p3_encode, serialize_secret
-from privsplit.training import TrainingDivergedError, load_checkpoint
+from privsplit.training import TrainConfig, TrainingDivergedError, load_checkpoint
 
 
 def test_diverged_training_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
@@ -216,3 +226,142 @@ def test_report_without_run_artifacts_exits_3(tmp_path, capsys, make_dir):
         run.mkdir()
     assert cli.main(["report", "--run", str(run)]) == 3
     assert capsys.readouterr().err.strip() == f"error: no run artifacts found in {run}"
+
+
+def test_sweep_proportion_on_toy_data_writes_one_row_per_proportion(tmp_path):
+    config = tmp_path / "sweep.ini"
+    config.write_text("[data]\npoints_per_cluster = 20\n\n[train]\niterations = 2\n\n"
+                      "[attack]\niterations = 5\n\n[sweep]\nproportions = 1/64, 1/4\n")
+    run = tmp_path / "run"
+    assert cli.main(["sweep-proportion", "--config", str(config), "--out", str(run)]) == 0
+    with open(run / "sweep.csv", newline="", encoding="ascii") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["proportion", "psnr_recon_db", "psnr_encrypted_db", "accuracy"]
+    assert [row[0] for row in rows[1:]] == ["1/64", "1/4"]
+
+
+# ---------------------------------------------------------------------------
+# the INI loader and the configs it builds
+
+
+def run_with_config(tmp_path, text, command="train-toy"):
+    config = tmp_path / "run.ini"
+    config.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return cli.main([command, "--config", str(config), "--out", str(tmp_path / "run")])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[train]\nalpha = 5%\n", "error: bad value for train.alpha: '5%'"),
+    (b"[train]\niterations = \xff\n", "error: cannot parse config "),
+    ("[DEFAULT]\niterationz = 1\n", "error: config keys must sit in a named section"),
+    ("[sweep]\niterations = 3\n", "error: unknown key 'iterations' in section [sweep]"),
+], ids=["percent", "not-utf8", "default-section", "sweep-iterations"])
+def test_bad_config_exits_2_with_one_line(tmp_path, capsys, text, message):
+    assert run_with_config(tmp_path, text) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert not (tmp_path / "run").exists()
+
+
+def test_percent_in_a_value_round_trips_through_resolved_ini(tmp_path):
+    config = {"attack": {"model_checkpoint": "runs/100%/checkpoint.npz"}}
+    cli.write_run_files(tmp_path, "attack", config, seed=3)
+    assert cli.load_config(tmp_path / "resolved.ini") == {
+        "attack": {"model_checkpoint": "runs/100%/checkpoint.npz"}, "train": {"seed": "3"}}
+
+
+INI_LINES = ["[train]", "[data]", "[sweep]", "[DEFAULT]", "[nope]", "iterations = 3",
+             "alpha = 5%", "lambda: %(x)s", "  continued", "= 1", "[", "seed", "kind = tiny"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.one_of(
+    st.lists(st.one_of(st.sampled_from(INI_LINES), st.text(max_size=20)), max_size=8)
+    .map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass")),
+    st.binary(max_size=64)))
+def test_load_config_returns_a_dict_or_a_usage_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ini"
+        path.write_bytes(blob)
+        try:
+            config = cli.load_config(path)
+        except cli.CliError as exc:
+            assert exc.exit_code == 2
+        else:
+            assert isinstance(config, dict)
+
+
+RUN_SEED = 7
+
+
+class CapturedTrain(Exception):
+    pass
+
+
+def built_configs(tmp_path, monkeypatch, text):
+    """The TrainConfig, ClusterSpec and AttackConfig `train-toy` builds from INI `text`."""
+    seen = {}
+
+    def spec_only(spec):
+        seen["data"] = spec
+        return real_gen(spec)
+
+    def train_only(features, config, **kwargs):
+        seen["train"] = config
+        raise CapturedTrain
+
+    real_gen = cli.gen_toy_clusters
+    monkeypatch.setattr(cli, "gen_toy_clusters", spec_only)
+    monkeypatch.setattr(cli, "train", train_only)
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    with pytest.raises(CapturedTrain):
+        cli.main(["--seed", str(RUN_SEED), "train-toy", "--config", str(path),
+                  "--out", str(tmp_path / "run")])
+    seen["attack"] = cli.attack_config_from(cli.load_config(path), RUN_SEED)
+    return seen
+
+
+DEFAULTS = {"data": ClusterSpec(seed=RUN_SEED),
+            "train": TrainConfig(seed=RUN_SEED, input_width=2),
+            "attack": AttackConfig(seed=RUN_SEED + 1)}
+INI_KEY = {"lam": "lambda"}
+
+
+def test_empty_ini_builds_the_dataclass_defaults_with_the_run_seed(tmp_path, monkeypatch):
+    assert built_configs(tmp_path, monkeypatch, "") == DEFAULTS
+
+
+def other_value(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return "msednet"  # the only str field, TrainConfig.ablation
+    return value * 2  # no default is 0; 2/64 of any feature width still divides
+
+
+@pytest.mark.parametrize("section, name", [
+    (section, f.name) for section, config in DEFAULTS.items() for f in fields(config)
+    if f.name != "input_width"])
+def test_one_ini_key_changes_exactly_its_field(tmp_path, monkeypatch, section, name):
+    value = other_value(getattr(DEFAULTS[section], name))
+    built = built_configs(tmp_path, monkeypatch,
+                          f"[{section}]\n{INI_KEY.get(name, name)} = {value}\n")
+    assert getattr(built[section], name) == value
+    changed = {(s, key) for s in DEFAULTS
+               for key, v in asdict(built[s]).items() if v != asdict(DEFAULTS[s])[key]}
+    assert changed == {(section, name)}
+
+
+def test_ini_keys_are_the_field_names_plus_the_documented_extras():
+    def names(cls):
+        return {INI_KEY.get(f.name, f.name) for f in fields(cls)}
+
+    assert cli.KNOWN_KEYS == {
+        "data": names(ClusterSpec) | {"kind", "source_dir", "size", "class_count", "per_class"},
+        "train": names(TrainConfig) - {"input_width"},
+        "attack": names(AttackConfig) | {"methods", "model_checkpoint", "msednet_checkpoint",
+                                         "pixelate_factor", "blur_radius", "p3_threshold"},
+        "sweep": {"proportions"},
+        "plot": {"points_per_cluster"},
+    }

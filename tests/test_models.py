@@ -17,11 +17,16 @@ from privsplit.models import (
     perceptual_features,
     reconstruct,
 )
-from privsplit.objectives import discriminator_loss, reconstruction_loss
+from privsplit.objectives import generator_adversarial_loss, reconstruction_loss
+from privsplit.training import TrainConfig
 
 
 def toy_bundle(seed=0, **overrides):
     return build_models(ModelConfig(seed=seed, **overrides))
+
+
+def perceptual_tensors(bundle):
+    return [t for layer in bundle.perceptual for t in (layer.w, layer.b)]
 
 
 class TestBuildModels:
@@ -31,17 +36,17 @@ class TestBuildModels:
         assert bundle.privacy_width == 2
 
     def test_proportion_half(self):
-        cfg = ModelConfig.with_proportion(Fraction(1, 2))
+        cfg = TrainConfig(privacy_proportion=Fraction(1, 2)).model_config(0)
         assert cfg.privacy_width == 64
 
     def test_all_table_proportions_are_exact(self):
         for denom in (2, 4, 8, 16, 32, 64):
-            cfg = ModelConfig.with_proportion(Fraction(1, denom))
+            cfg = TrainConfig(privacy_proportion=Fraction(1, denom)).model_config(0)
             assert Fraction(cfg.privacy_width, cfg.feature_width) == Fraction(1, denom)
 
     def test_non_integer_proportion_rejected(self):
-        with pytest.raises(ValueError, match="not an integer"):
-            ModelConfig.with_proportion(Fraction(1, 3))
+        with pytest.raises(ValueError, match="is not a positive integer"):
+            TrainConfig(privacy_proportion=Fraction(1, 3)).model_config(0)
 
     def test_invalid_privacy_width_rejected(self):
         for bad in (0, 128, 200, -1):
@@ -63,7 +68,7 @@ class TestBuildModels:
         assert [l.w.shape for l in bundle.decoder] == [(128, 128), (128, 2)]
 
     def test_perceptual_params_frozen(self):
-        for p in toy_bundle().perceptual_parameters():
+        for p in perceptual_tensors(toy_bundle()):
             assert not p.requires_grad
 
 
@@ -202,8 +207,8 @@ class TestPerceptualFreeze:
         _, _, combined = reconstruction_loss(
             x_r, x, phi=lambda t: perceptual_features(t, bundle), lam=0.01)
         d = discriminate(x_r, bundle)
-        backward(combined + discriminator_loss(d, d.detach()))
-        for p in bundle.perceptual_parameters():
+        backward(combined + generator_adversarial_loss(d, Tensor(d.data.copy())))
+        for p in perceptual_tensors(bundle):
             assert p.grad is None
         assert any(p.grad is not None and np.any(p.grad != 0.0)
                    for p in bundle.generator_parameters())

@@ -7,10 +7,8 @@ from privsplit.autodiff import Tensor, backward, sigmoid
 from privsplit.objectives import (
     LOG4,
     DiscreteDistributionPair,
-    LossBreakdown,
     bce,
     collaborative_loss_at_optimum,
-    discriminator_loss,
     generator_adversarial_loss,
     jsd,
     msednet_loss,
@@ -56,27 +54,20 @@ class TestBce:
 class TestAdversarialLosses:
     def test_perfect_discriminator_near_zero(self):
         eps = 1e-6
-        val = discriminator_loss([1 - eps] * 4, [eps] * 4).item()
+        val = generator_adversarial_loss([1 - eps] * 4, [eps] * 4).item()
         assert val == pytest.approx(0.0, abs=1e-5)
 
     def test_uninformative_is_log4(self):
-        val = discriminator_loss([0.5, 0.5], [0.5, 0.5]).item()
+        val = generator_adversarial_loss([0.5, 0.5], [0.5, 0.5]).item()
         assert val == pytest.approx(LOG4, abs=1e-12)
 
     def test_hand_batch(self):
-        val = discriminator_loss([0.9, 0.8], [0.1, 0.3]).item()
+        val = generator_adversarial_loss([0.9, 0.8], [0.1, 0.3]).item()
         assert val == pytest.approx(0.39526976328429736, abs=1e-12)
 
     def test_empty_batch(self):
         with pytest.raises(ValueError, match="empty batch"):
-            discriminator_loss([], [0.5])
-
-    def test_generator_loss_equals_discriminator_loss_exactly(self):
-        rng = np.random.default_rng(1)
-        for _ in range(25):
-            d_r = rng.uniform(0.01, 0.99, size=rng.integers(1, 9))
-            d_e = rng.uniform(0.01, 0.99, size=rng.integers(1, 9))
-            assert generator_adversarial_loss(d_r, d_e).item() == discriminator_loss(d_r, d_e).item()
+            generator_adversarial_loss([], [0.5])
 
     def test_collapsed_discriminator_is_log4(self):
         val = generator_adversarial_loss([0.5] * 3, [0.5] * 3).item()
@@ -85,7 +76,7 @@ class TestAdversarialLosses:
     def test_gradient_reaches_the_probability_source(self):
         logits = Tensor(np.array([[0.3], [-0.2]]), requires_grad=True)
         probs = sigmoid(logits)
-        backward(discriminator_loss(probs, probs.detach()))
+        backward(generator_adversarial_loss(probs, Tensor(probs.data.copy())))
         assert logits.grad is not None and np.any(logits.grad != 0.0)
 
 
@@ -119,10 +110,15 @@ class TestReconstructionLoss:
         assert perc.item() == 0.0
 
 
+def msednet(x, x_r, x_e, phi, lam=0.01):
+    _, _, combined = reconstruction_loss(x_r, x, phi, lam)
+    return msednet_loss(combined, x, x_e, phi)
+
+
 class TestMsednetLoss:
     def test_all_equal_is_zero(self):
         x = Tensor(np.ones((3, 2)))
-        assert msednet_loss(x, x, x, phi=lambda t: t).item() == 0.0
+        assert msednet(x, x, x, phi=lambda t: t).item() == 0.0
 
     def test_monotone_in_encrypted_feature_distance(self):
         rng = np.random.default_rng(3)
@@ -130,7 +126,7 @@ class TestMsednetLoss:
         x_r = Tensor(x.data + 0.1)
         prev = None
         for push in (0.5, 1.0, 2.0, 4.0):
-            val = msednet_loss(x, x_r, Tensor(x.data + push), phi=lambda t: t).item()
+            val = msednet(x, x_r, Tensor(x.data + push), phi=lambda t: t).item()
             if prev is not None:
                 assert val < prev
             prev = val
@@ -140,18 +136,8 @@ class TestMsednetLoss:
         x = Tensor(np.zeros((1, 2)))
         x_r = Tensor(np.full((1, 2), 0.5))
         x_e = Tensor(np.full((1, 2), 2.0))
-        val = msednet_loss(x, x_r, x_e, phi=lambda t: t, lam=0.0).item()
+        val = msednet(x, x_r, x_e, phi=lambda t: t, lam=0.0).item()
         assert val == pytest.approx(0.25 - 4.0, abs=1e-12)
-
-
-class TestLossBreakdown:
-    def test_total_is_component_sum(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            adv, mse, perc, disc = rng.random(4)
-            lam = float(rng.random())
-            b = LossBreakdown.build(adv, mse, perc, disc, lam)
-            assert abs(b.total_generator - (b.adversarial + b.recon_mse + b.lam * b.perceptual)) < 1e-12
 
 
 class TestDistributionPair:

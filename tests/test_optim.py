@@ -1,8 +1,45 @@
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
 from privsplit.autodiff import Tensor, backward, square, tsum
-from privsplit.optim import Adam, AdamState, adam_step
+from privsplit.optim import Adam
+
+
+@dataclass
+class AdamState:
+    """Moment estimates for one flat parameter vector."""
+
+    step: int
+    m: np.ndarray
+    v: np.ndarray
+    alpha: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+
+    @classmethod
+    def init(cls, size: int, alpha: float = 1e-3, beta1: float = 0.9,
+             beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
+        return cls(step=0, m=np.zeros(size), v=np.zeros(size),
+                   alpha=alpha, beta1=beta1, beta2=beta2, epsilon=epsilon)
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update: the reference `Adam` is checked against."""
+    params = np.asarray(params, dtype=np.float64)
+    grads = np.asarray(grads, dtype=np.float64)
+    if params.shape != grads.shape or params.size != state.m.size:
+        raise ValueError(
+            f"adam_step length mismatch: params {params.size}, grads {grads.size}, state {state.m.size}")
+    t = state.step + 1
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
+    m_hat = m / (1.0 - state.beta1 ** t)
+    v_hat = v / (1.0 - state.beta2 ** t)
+    new_params = params - state.alpha * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    return new_params, replace(state, step=t, m=m, v=v)
 
 
 class TestAdamStep:

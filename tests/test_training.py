@@ -11,7 +11,7 @@ from privsplit.autodiff import Tensor
 from privsplit.datasets import ClusterSpec, gen_toy_clusters
 from privsplit.evaluation import AttackConfig, attack_train_eval, separability
 from privsplit.models import NoiseSpec, decode, encrypt, perceptual_features, reconstruct
-from privsplit.objectives import msednet_loss
+from privsplit.objectives import msednet_loss, reconstruction_loss
 from privsplit.training import (
     CheckpointVersionError,
     MalformedCheckpointError,
@@ -20,9 +20,6 @@ from privsplit.training import (
     load_checkpoint,
     save_checkpoint,
     train,
-    train_ablation,
-    train_collaborative,
-    train_msednet,
     write_history_csv,
 )
 
@@ -78,19 +75,30 @@ class TestTrainBasics:
         assert history.l_d == history.l_g_ad
         assert all(v is not None for v in history.l_d)
 
-    def test_update_order_is_d_then_g(self):
-        phases = []
-        train(small_blobs(), quick_config(iterations=5), update_recorder=phases.append)
-        assert phases == ["D", "G"] * 5
+    def test_each_optimizer_steps_once_per_iteration(self, monkeypatch):
+        # both gradients come from one backward pass over disjoint parameter
+        # sets, so the order of the two steps cannot be observed; their count can
+        optimizers = []
+
+        class CountingAdam(training.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(training, "Adam", CountingAdam)
+        bundle, _ = train(small_blobs(), quick_config(iterations=5))
+        assert [opt.step_count for opt in optimizers] == [5, 5]
+        assert {id(p) for opt in optimizers for p in opt.params} == {
+            id(p) for p in bundle.all_parameters()}
 
     def test_perceptual_params_never_change(self):
         data = small_blobs()
         cfg = quick_config(use_perceptual=True)
         bundle, _ = train(data, cfg)
         reference, _ = train(data, quick_config(use_perceptual=True, iterations=0))
-        for trained, init in zip(bundle.perceptual_parameters(),
-                                 reference.perceptual_parameters()):
-            assert np.array_equal(trained.data, init.data)
+        for trained, init in zip(bundle.perceptual, reference.perceptual):
+            assert np.array_equal(trained.w.data, init.w.data)
+            assert np.array_equal(trained.b.data, init.b.data)
 
     def test_snapshot_hook_fires_at_requested_iterations(self):
         seen = []
@@ -138,19 +146,10 @@ class TestGraphsFreedByRefcount:
 
 
 class TestAblations:
-    def test_dispatch_guards(self):
-        data = small_blobs()
-        with pytest.raises(ValueError):
-            train_collaborative(data, quick_config(ablation="msednet"))
-        with pytest.raises(ValueError):
-            train_ablation(data, quick_config(ablation="full"))
-        with pytest.raises(ValueError):
-            train_msednet(data, quick_config(ablation="full"))
-
     def test_no_collaborative_has_no_adversarial_record_and_frozen_d(self):
         data = small_blobs()
         cfg = quick_config(ablation="no_collaborative")
-        bundle, history = train_ablation(data, cfg)
+        bundle, history = train(data, cfg)
         assert all(v is None for v in history.l_d)
         assert all(v is None for v in history.l_g_ad)
         init, _ = train(data, quick_config(ablation="no_collaborative", iterations=0))
@@ -195,8 +194,8 @@ class TestAblations:
             x_e = encrypt(x, bundle, NoiseSpec(seed=5))
             dists[i] = float(np.mean((phi(x_e) - phi(x)) ** 2))
 
-        _, history = train_msednet(data, cfg, snapshot_iters={0, 400, 800, 1200, 1600},
-                                   snapshot_fn=snap)
+        _, history = train(data, cfg, snapshot_iters={0, 400, 800, 1200, 1600},
+                           snapshot_fn=snap)
         # the maximized term climbs once the reconstruction transient settles
         assert dists[400] < dists[800] < dists[1200] < dists[1600]
         assert dists[1600] > dists[0]
@@ -207,20 +206,22 @@ class TestAblations:
 
     def test_msednet_recorded_total_matches_loss_op(self):
         data = small_blobs()
-        bundle, history = train_msednet(data, quick_config(ablation="msednet", iterations=1))
+        bundle, history = train(data, quick_config(ablation="msednet", iterations=1))
         assert len(history) == 1
         # recompute the op on the same state: cheap structural cross-check
         x = Tensor(data[:8])
         x_r = reconstruct(x, bundle)
         x_e = encrypt(x, bundle, NoiseSpec(seed=1))
-        val = msednet_loss(x, x_r, x_e, phi=lambda t: perceptual_features(t, bundle)).item()
+        phi = lambda t: perceptual_features(t, bundle)
+        _, _, combined = reconstruction_loss(x_r, x, phi)
+        val = msednet_loss(combined, x, x_e, phi).item()
         assert np.isfinite(val)
 
     def test_msednet_determinism(self):
         data = small_blobs()
         cfg = quick_config(ablation="msednet")
-        h1 = train_msednet(data, cfg)[1]
-        h2 = train_msednet(data, cfg)[1]
+        h1 = train(data, cfg)[1]
+        h2 = train(data, cfg)[1]
         assert h1.l_g_total == h2.l_g_total
 
 
