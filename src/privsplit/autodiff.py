@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float64 or float32 tensors with reverse-mode automatic differentiation.
 
 Just enough machinery for small fully-connected networks: 1-D/2-D arrays,
 broadcasting limited to what bias vectors need, and gradients accumulated by
@@ -11,6 +11,17 @@ gradient as its argument. The closure refers to the op's inputs but never to
 its own output, so a graph holds no reference cycle: once the last name bound
 to its loss goes, reference counting frees every node and its arrays at once,
 without waiting for the cyclic garbage collector.
+
+Dtypes follow the data. A float32 array stays float32: every op on float32
+operands yields a float32 output, :func:`backward` seeds a float32 loss
+with a float32 one, and every gradient an op routes is float32. Any other
+input (Python numbers, integer, bool or float16 arrays) becomes float64 as
+before, so float64 graphs compute exactly what they did. A constant made
+inside an op takes its operand's dtype by an explicit cast rather than by
+NumPy's promotion of a 0-d array against a Python number, which changed
+with NEP 50 in NumPy 2 (the legacy rule widens a 0-d float32 to float64).
+Mixing float32 and float64 operands promotes to float64; keep one graph in
+one dtype.
 
 ``matmul`` and ``dense`` reject a NaN or infinite operand with
 :class:`NonFiniteError`, but they scan only the product, which is far
@@ -37,11 +48,19 @@ import numpy as np
 # Shared by the sigmoid op here and the cross-entropy losses downstream.
 PROB_EPS = 1e-7
 
+_FLOAT32 = np.dtype(np.float32)
+
+
+def _const(value: float, like: np.ndarray):
+    """`value` as a NumPy scalar of `like`'s dtype, so that it cannot widen a 0-d operand."""
+    return like.dtype.type(value)
+
 
 class Tensor:
     """A node of the computation graph.
 
-    ``data`` is a float64 ndarray, ``grad`` (same shape) is populated by
+    ``data`` is a float32 or float64 ndarray (anything else is converted to
+    float64), ``grad`` (same shape and dtype) is populated by
     :func:`backward` for nodes with ``requires_grad``. Leaf tensors are
     parameters or constants; op outputs carry a closure that takes the
     output gradient and routes it to the parents.
@@ -50,7 +69,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype != _FLOAT32:
+            arr = arr.astype(np.float64, copy=False)
         if arr.ndim > 2:
             raise ValueError(f"tensors are at most 2-D, got shape {arr.shape}")
         self.data = arr
@@ -280,7 +301,7 @@ def _tanh_grad(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _relu_forward(x: np.ndarray, out=None) -> np.ndarray:
-    return np.maximum(x, 0.0, out=out)
+    return np.maximum(x, _const(0.0, x), out=out)
 
 
 def _relu_grad(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -293,13 +314,14 @@ def _sigmoid_forward(x: np.ndarray, out=None) -> np.ndarray:
     The clamp keeps outputs strictly inside (0, 1) even for inputs like
     +-1e6 where float64 would round to exactly 0 or 1.
     """
+    one = _const(1.0, x)
     e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return np.clip(y, PROB_EPS, 1.0 - PROB_EPS, out=out)
+    y = np.where(x >= 0, one / (one + e), e / (one + e))
+    return np.clip(y, _const(PROB_EPS, x), _const(1.0 - PROB_EPS, x), out=out)
 
 
 def _sigmoid_grad(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    d = 1.0 - y
+    d = _const(1.0, y) - y
     d *= y
     d *= grad
     return d
@@ -409,7 +431,7 @@ def log(a: Tensor) -> Tensor:
 def square(a: Tensor) -> Tensor:
     def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, 2.0 * a.data * out_grad, owned=True)
+            _accumulate(a, _const(2.0, a.data) * a.data * out_grad, owned=True)
 
     return _op(a.data * a.data, (a,), backprop)
 
@@ -422,7 +444,7 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
         if a.requires_grad:
             _accumulate(a, mask * out_grad, owned=True)
 
-    return _op(np.clip(a.data, lo, hi), (a,), backprop)
+    return _op(np.clip(a.data, _const(lo, a.data), _const(hi, a.data)), (a,), backprop)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -438,7 +460,7 @@ def tmean(a: Tensor) -> Tensor:
 
     def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, out_grad.reshape(()) / n)
+            _accumulate(a, out_grad.reshape(()) / _const(n, out_grad))
 
     return _op(np.asarray(a.data.mean()), (a,), backprop)
 
@@ -481,15 +503,16 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     m = z.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
     rows = np.arange(z.shape[0])
-    loss = float((lse[:, 0] - z[rows, labels]).mean())
+    loss = np.asarray((lse[:, 0] - z[rows, labels]).mean(), dtype=z.dtype)
 
     def backprop(out_grad):
         if logits.requires_grad:
             soft = np.exp(z - lse)
             soft[rows, labels] -= 1.0
-            _accumulate(logits, soft * (out_grad.reshape(()) / z.shape[0]), owned=True)
+            _accumulate(logits, soft * (out_grad.reshape(()) / _const(z.shape[0], z)),
+                        owned=True)
 
-    return _op(np.asarray(loss), (logits,), backprop)
+    return _op(loss, (logits,), backprop)
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,7 @@ def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
     if dataset.width != 2:
         raise usage_error("train-toy needs 2-D data (data.kind = toy)")
     tcfg = _from_section(TrainConfig, config, "train", seed=seed, input_width=2)
+    acfg = attack_config_from(config, tcfg.seed)
     write_run_files(outdir, "train-toy", config, tcfg.seed)
 
     plot_n = _get(config, "plot", "points_per_cluster", 200, int)
@@ -363,7 +364,7 @@ def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
     recon = reconstruct(held, bundle).data
     encrypted = encrypt(held, bundle, NoiseSpec(std=tcfg.noise_std,
                                                 seed=tcfg.seed + 7919)).data
-    sep = separability(recon, encrypted, attack_config_from(config, tcfg.seed))
+    sep = separability(recon, encrypted, acfg)
     mse = float(np.mean((recon - held.data) ** 2))
     print(f"reconstruction mse {mse:.6f}")
     print(f"separability {sep:.4f}")
@@ -553,8 +554,8 @@ def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
     # every proportion is checked before the first run trains or writes a file
     sweep = [replace(base, privacy_proportion=Fraction(p.strip()))
              for p in raw.split(",") if p.strip()]
-    write_run_files(outdir, "sweep-proportion", config, seed)
     acfg = attack_config_from(config, seed)
+    write_run_files(outdir, "sweep-proportion", config, seed)
     peak = float(dataset.features.max() - dataset.features.min())
     held = dataset.heldout_idx
     rows = []

@@ -1,10 +1,22 @@
 """Attack protocol, PSNR, distribution separability, and comparison tables.
 
-The attack is the supervised protocol: a fresh MLP classifier is trained on
-the encrypted samples with their true labels, and its held-out accuracy
-measures how much recognizable signal the obfuscation leaks. The classifier
-never shares parameters with the trained encryption model or its
-discriminator.
+The attack is the supervised protocol (McPherson et al., arXiv 1609.00408):
+a fresh MLP classifier is trained on the encrypted samples with their true
+labels, and its held-out accuracy measures how much recognizable signal the
+obfuscation leaks. The classifier never shares parameters with the trained
+encryption model or its discriminator. :func:`compare_methods` reports each
+accuracy with a Wilson 95 % interval over the held-out count.
+
+Both probes, the attack classifier and the separability classifier, train
+and predict in float32 (``CLASSIFIER_DTYPE``). They are instruments: each
+reads one accuracy off a held-out split (80 images on the tiny-image set),
+whose 95 % interval spans many samples, and float32 rounding is far below
+that (every float32 accuracy measured against float64 was equal; CHANGES.md
+keeps the table). Float32 halves the memory traffic of their Adam updates
+and matmuls, which are most of an attack run. Their layers come from the
+same float64 draws as before, rounded, and their inputs are cast once. The
+encryption model, its discriminator and the perceptual net train in
+float64, as do ``privsplit check`` and every bitwise test of training.
 """
 
 from __future__ import annotations
@@ -38,6 +50,10 @@ def psnr(a, b, peak: float) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
+# The dtype both probes train and predict in (see the module docstring).
+CLASSIFIER_DTYPE = np.float32
+
+
 @dataclass
 class AttackConfig:
     hidden_width: int = 128
@@ -46,11 +62,21 @@ class AttackConfig:
     alpha: float = 1e-3
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("hidden_width", "iterations", "batch_size"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"attack {name} must be at least 1, got {value}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"attack alpha must be finite and positive, got {self.alpha}")
+
 
 def _train_classifier(features, labels, out_width, loss_kind, config: AttackConfig):
+    """A fresh MLP trained on (`features`, `labels`) in the dtype of `features`."""
     rng = np.random.default_rng(config.seed)
+    dtype = features.dtype
     widths = [features.shape[1], config.hidden_width, config.hidden_width, out_width]
-    layers = _init_mlp(rng, widths)
+    layers = _init_mlp(rng, widths, dtype=dtype)
     opt = Adam([t for layer in layers for t in (layer.w, layer.b)], alpha=config.alpha)
     n = features.shape[0]
     for _ in range(config.iterations):
@@ -61,9 +87,9 @@ def _train_classifier(features, labels, out_width, loss_kind, config: AttackConf
             loss = softmax_cross_entropy(logits, labels[idx])
         else:
             probs = sigmoid(logits)
-            targets = labels[idx].astype(np.float64).reshape(-1, 1)
-            loss = tmean(bce(probs, 1) * Tensor(targets)
-                         + bce(probs, 0) * Tensor(1.0 - targets))
+            rows = labels[idx].reshape(-1, 1)
+            loss = tmean(bce(probs, 1) * Tensor(rows.astype(dtype))
+                         + bce(probs, 0) * Tensor((1 - rows).astype(dtype)))
         backward(loss)
         opt.step()
     return layers
@@ -74,11 +100,12 @@ def attack_train_eval(encrypted: LabeledDataset, config: AttackConfig | None = N
     config = config or AttackConfig()
     if encrypted.class_count < 2:
         raise ValueError("attack needs at least 2 classes")
-    train_x = encrypted.features[encrypted.train_idx]
+    # cast straight from the row gather, so no float64 copy of the rows stays alive
+    train_x = encrypted.features[encrypted.train_idx].astype(CLASSIFIER_DTYPE, copy=False)
     train_y = encrypted.labels[encrypted.train_idx]
     layers = _train_classifier(train_x, train_y, encrypted.class_count, "softmax", config)
-    held_x = Tensor(encrypted.features[encrypted.heldout_idx])
-    logits = _mlp_forward(layers, held_x)
+    held = encrypted.features[encrypted.heldout_idx].astype(CLASSIFIER_DTYPE, copy=False)
+    logits = _mlp_forward(layers, Tensor(held))
     predicted = logits.data.argmax(axis=1)
     return float((predicted == encrypted.labels[encrypted.heldout_idx]).mean())
 
@@ -90,8 +117,8 @@ def separability(recon_samples, encrypted_samples, config: AttackConfig | None =
     classifier is never the training-time discriminator.
     """
     config = config or AttackConfig()
-    recon = np.asarray(recon_samples, dtype=np.float64)
-    encrypted = np.asarray(encrypted_samples, dtype=np.float64)
+    recon = np.asarray(recon_samples, dtype=CLASSIFIER_DTYPE)
+    encrypted = np.asarray(encrypted_samples, dtype=CLASSIFIER_DTYPE)
     if recon.shape[0] == 0 or encrypted.shape[0] == 0:
         raise ValueError("separability needs two non-empty sample sets")
     x = np.concatenate([recon, encrypted])
@@ -129,6 +156,34 @@ class AttackReport:
     psnr_encrypted_db: float | None
     proportion: float | None
     note: str = ""
+    ci_low: float | None = None  # Wilson 95 % interval of `accuracy`; None when
+    ci_high: float | None = None  # no classifier was trained (Random, a failed method)
+
+
+# the two-sided 95 % quantile of the standard normal distribution
+WILSON_Z = 1.959963984540054
+
+
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score 95 % interval of a binomial proportion, `successes` of `n`."""
+    if n < 1 or not 0 <= successes <= n:
+        raise ValueError(f"wilson interval needs 0 <= successes <= n and n >= 1, "
+                         f"got {successes} of {n}")
+    p = successes / n
+    z2 = WILSON_Z * WILSON_Z
+    denom = 1.0 + z2 / n
+    center = (p + z2 / (2 * n)) / denom
+    half = WILSON_Z * math.sqrt(p * (1.0 - p) / n + z2 / (4 * n * n)) / denom
+    # at 0 or n successes the end is exactly 0 or 1, where rounding could miss it
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == n else min(1.0, center + half)
+    return low, high
+
+
+def _interval(accuracy: float, n: int) -> dict[str, float]:
+    """The ``ci_low``/``ci_high`` fields of an accuracy read from `n` held-out samples."""
+    low, high = wilson_interval(round(accuracy * n), n)
+    return {"ci_low": low, "ci_high": high}
 
 
 def compare_methods(dataset: LabeledDataset, methods: list[ObfuscationMethod],
@@ -149,10 +204,10 @@ def compare_methods(dataset: LabeledDataset, methods: list[ObfuscationMethod],
     seed_root = np.random.SeedSequence(config.seed)
     streams = seed_root.spawn(len(methods) + 1)
 
+    original = attack_train_eval(dataset, _reseed(config, streams[0]))
     reports = [
-        AttackReport("Original",
-                     attack_train_eval(dataset, _reseed(config, streams[0])),
-                     chance, None, math.inf, None),
+        AttackReport("Original", original, chance, None, math.inf, None,
+                     **_interval(original, held.size)),
         AttackReport("Random", chance, chance, None, None, None),
     ]
     for method, stream in zip(methods, streams[1:]):
@@ -169,7 +224,8 @@ def compare_methods(dataset: LabeledDataset, methods: list[ObfuscationMethod],
                 recon = method.reconstruct(dataset.features)
                 psnr_rec = psnr(recon[held], original_held, peak)
             reports.append(AttackReport(method.name, accuracy, chance,
-                                        psnr_rec, psnr_enc, method.proportion))
+                                        psnr_rec, psnr_enc, method.proportion,
+                                        **_interval(accuracy, held.size)))
         except (ValueError, RuntimeError) as exc:
             reports.append(AttackReport(method.name, math.nan, chance,
                                         None, None, method.proportion, note=str(exc)))
@@ -184,7 +240,7 @@ def _reseed(config: AttackConfig, stream: np.random.SeedSequence) -> AttackConfi
 
 
 REPORT_COLUMNS = ("method", "accuracy", "chance", "psnr_recon_db",
-                  "psnr_encrypted_db", "proportion")
+                  "psnr_encrypted_db", "proportion", "ci_low", "ci_high")
 
 
 def write_report_csv(reports: list[AttackReport], path) -> None:
@@ -201,7 +257,7 @@ def write_report_csv(reports: list[AttackReport], path) -> None:
         for r in reports:
             writer.writerow([r.method, cell(r.accuracy), cell(r.chance),
                              cell(r.psnr_recon_db), cell(r.psnr_encrypted_db),
-                             cell(r.proportion)])
+                             cell(r.proportion), cell(r.ci_low), cell(r.ci_high)])
 
 
 # ---------------------------------------------------------------------------

@@ -88,15 +88,18 @@ class ModelBundle:
         return self.generator_parameters() + self.discriminator_parameters()
 
 
-def _init_layer(rng: np.random.Generator, fan_in: int, fan_out: int, trainable: bool = True) -> Layer:
+def _init_layer(rng: np.random.Generator, fan_in: int, fan_out: int, trainable: bool = True,
+                dtype=np.float64) -> Layer:
+    """Glorot-uniform weights and zero biases; the float64 draw is rounded to `dtype`."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=trainable)
-    b = Tensor(np.zeros(fan_out), requires_grad=trainable)
+    w = rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype, copy=False)
+    w = Tensor(w, requires_grad=trainable)
+    b = Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=trainable)
     return Layer(w, b)
 
 
-def _init_mlp(rng, widths: list[int], trainable: bool = True) -> list[Layer]:
-    return [_init_layer(rng, a, b, trainable) for a, b in zip(widths[:-1], widths[1:])]
+def _init_mlp(rng, widths: list[int], trainable: bool = True, dtype=np.float64) -> list[Layer]:
+    return [_init_layer(rng, a, b, trainable, dtype) for a, b in zip(widths[:-1], widths[1:])]
 
 
 def network_widths(config: ModelConfig) -> dict[str, list[int]]:

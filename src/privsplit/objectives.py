@@ -28,14 +28,15 @@ def _clamped(p: Tensor) -> Tensor:
 def bce(p, target: int):
     """Binary cross entropy -[t*ln(p) + (1-t)*ln(1-p)] with p clamped.
 
-    Returns a float for a float probability and a Tensor (elementwise) for a
-    Tensor, so it serves both as a hand oracle and inside the graph.
+    Returns a float for a float probability and a Tensor (elementwise, in
+    the probability's dtype) for a Tensor, so it serves both as a hand oracle
+    and inside the graph.
     """
     if target not in (0, 1):
         raise ValueError(f"bce target must be 0 or 1, got {target!r}")
     if isinstance(p, Tensor):
         q = _clamped(p)
-        return -log(q) if target == 1 else -log(Tensor(1.0) - q)
+        return -log(q) if target == 1 else -log(Tensor(np.ones((), q.data.dtype)) - q)
     q = min(max(float(p), PROB_EPS), 1.0 - PROB_EPS)
     return -math.log(q) if target == 1 else -math.log(1.0 - q)
 

@@ -26,6 +26,11 @@ class Adam:
     than once per pass. Every operation is elementwise, so the parameters
     equal a per-tensor update bitwise (``tests/test_optim.py`` keeps that
     reference).
+
+    The buffer, the moments, the gathered gradient and the scratch block
+    take the parameters' dtype (float64 or float32), so a float32 model is
+    updated in float32 arithmetic; parameters of mixed dtypes raise
+    ValueError.
     """
 
     def __init__(self, params: list[Tensor], alpha: float = 1e-3, beta1: float = 0.9,
@@ -33,16 +38,20 @@ class Adam:
         self.params = list(params)
         self.alpha, self.beta1, self.beta2, self.epsilon = alpha, beta1, beta2, epsilon
         self.step_count = 0
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
         bounds = np.cumsum([0] + [p.data.size for p in self.params])
         self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self._flat = np.empty(bounds[-1])
+        self._flat = np.empty(bounds[-1], dtype=dtype)
         for p, part in zip(self.params, self._slices):
             self._flat[part] = p.data.reshape(-1)
             p.data = self._flat[part].reshape(p.data.shape)
         self.m = np.zeros_like(self._flat)
         self.v = np.zeros_like(self._flat)
         self._grad = np.empty_like(self._flat)
-        self._tmp = np.empty(min(_BLOCK, self._flat.size))
+        self._tmp = np.empty(min(_BLOCK, self._flat.size), dtype=dtype)
 
     def step(self) -> None:
         g = self._grad

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import tokenize
 import zipfile
 from dataclasses import asdict, dataclass, field, fields
@@ -106,6 +107,16 @@ class TrainConfig:
             raise ValueError("batch size must be at least 1")
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
+        for name in ("alpha", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         self.privacy_proportion = Fraction(self.privacy_proportion)

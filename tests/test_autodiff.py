@@ -13,13 +13,18 @@ from privsplit.autodiff import (
     clamp,
     concat,
     dense,
+    exp,
     grad_check,
+    log,
     matmul,
+    mul,
+    neg,
     relu,
     sigmoid,
     slice_cols,
     softmax_cross_entropy,
     square,
+    sub,
     tanh,
     tmean,
     tsum,
@@ -349,3 +354,69 @@ class TestTensorBasics:
     def test_more_than_two_dims_rejected(self):
         with pytest.raises(ValueError):
             Tensor(np.zeros((2, 2, 2)))
+
+
+# Each case builds an op's output from float leaves made by `leaf(*shape)`;
+# the leaves are the op's differentiable inputs.
+DTYPE_CASES = {
+    "add": lambda leaf: add(leaf(3, 4), leaf(4)),
+    "sub": lambda leaf: sub(leaf(3, 4), leaf(4)),
+    "mul": lambda leaf: mul(leaf(3, 4), leaf(3, 4)),
+    "neg": lambda leaf: neg(leaf(3, 4)),
+    "matmul": lambda leaf: matmul(leaf(3, 4), leaf(4, 2)),
+    "tanh": lambda leaf: tanh(leaf(3, 4)),
+    "relu": lambda leaf: relu(leaf(3, 4)),
+    "sigmoid": lambda leaf: sigmoid(leaf(3, 4)),
+    "activation": lambda leaf: activation(leaf(3, 4), "relu"),
+    "dense": lambda leaf: dense(leaf(3, 4), leaf(4, 2), leaf(2)),
+    "dense-tanh": lambda leaf: dense(leaf(3, 4), leaf(4, 2), leaf(2), "tanh"),
+    "dense-relu": lambda leaf: dense(leaf(3, 4), leaf(4, 2), leaf(2), "relu"),
+    "dense-sigmoid": lambda leaf: dense(leaf(3, 4), leaf(4, 2), leaf(2), "sigmoid"),
+    "exp": lambda leaf: exp(leaf(3, 4)),
+    "log": lambda leaf: log(sigmoid(leaf(3, 4))),
+    "square": lambda leaf: square(leaf(3, 4)),
+    "clamp": lambda leaf: clamp(leaf(3, 4), -0.5, 0.5),
+    "tsum": lambda leaf: tsum(leaf(3, 4)),
+    "tmean": lambda leaf: tmean(leaf(3, 4)),
+    "concat-cols": lambda leaf: concat([leaf(3, 2), leaf(3, 4)], axis=1),
+    "concat-rows": lambda leaf: concat([leaf(2, 4), leaf(3, 4)], axis=0),
+    "slice_cols": lambda leaf: slice_cols(leaf(3, 4), 1, 3),
+    "softmax_cross_entropy": lambda leaf: softmax_cross_entropy(leaf(5, 3), [0, 2, 1, 1, 0]),
+    # scalar operands: NumPy before 2.0 widened a 0-d float32 against a Python number
+    "square-0d": lambda leaf: square(leaf()),
+    "tmean-0d": lambda leaf: tmean(leaf()),
+    "sigmoid-0d": lambda leaf: sigmoid(leaf()),
+    "relu-0d": lambda leaf: relu(leaf()),
+    "clamp-0d": lambda leaf: clamp(leaf(), -0.5, 0.5),
+    "scalar-chain": lambda leaf: tmean(leaf(3, 4)) * tsum(leaf(2)) - leaf(),
+}
+
+
+class TestDtypeFollowing:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(DTYPE_CASES))
+    def test_every_op_keeps_its_dtype_forward_and_backward(self, case, dtype):
+        rng = np.random.default_rng(0)
+        leaves = []
+
+        def leaf(*shape):
+            leaves.append(Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True))
+            return leaves[-1]
+
+        out = DTYPE_CASES[case](leaf)
+        loss = out if out.data.ndim == 0 else tsum(out)
+        grads = backward(loss)
+        assert out.data.dtype == dtype
+        assert loss.grad.dtype == dtype
+        assert all(t.grad.dtype == dtype for t in leaves)
+        assert set(grads) == set(leaves)
+
+    @pytest.mark.parametrize("data", [1.5, 3, [1, 2], np.arange(3, dtype=np.int32),
+                                      np.ones(2, dtype=np.float16), np.ones(2, dtype=bool)])
+    def test_any_other_input_becomes_float64(self, data):
+        assert Tensor(data).data.dtype == np.float64
+
+    def test_float32_and_float64_arrays_are_kept(self):
+        for dtype in (np.float32, np.float64):
+            arr = np.ones((2, 3), dtype=dtype)
+            assert Tensor(arr).data is arr

@@ -263,6 +263,23 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, text, message):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("train-toy", "[attack]\nbatch_size = 0\n", "error: attack batch_size must be at least 1"),
+    ("sweep-proportion", "[attack]\niterations = 0\n", "error: attack iterations must be at least 1"),
+    ("train-toy", "[attack]\nalpha = nan\n", "error: attack alpha must be finite and positive"),
+    ("train-toy", "[train]\nbeta1 = 1.8\n", "error: beta1 must be in [0, 1)"),
+    ("train-toy", "[train]\nnoise_std = -1\n", "error: noise_std must be finite and non-negative"),
+], ids=["attack-batch-size", "sweep-attack-iterations", "attack-alpha", "beta1", "noise-std"])
+def test_invalid_run_config_exits_1_before_writing_anything(tmp_path, capsys, command, text,
+                                                            message):
+    assert run_with_config(tmp_path, text, command) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()  # so no resolved.ini or run_meta.json
+
+
 def test_percent_in_a_value_round_trips_through_resolved_ini(tmp_path):
     config = {"attack": {"model_checkpoint": "runs/100%/checkpoint.npz"}}
     cli.write_run_files(tmp_path, "attack", config, seed=3)
@@ -337,7 +354,9 @@ def other_value(value):
         return not value
     if isinstance(value, str):
         return "msednet"  # the only str field, TrainConfig.ablation
-    return value * 2  # no default is 0; 2/64 of any feature width still divides
+    if isinstance(value, float):
+        return value / 2  # no default is 0, and halving keeps beta1 and beta2 below 1
+    return value * 2  # 2/64 of any feature width still divides
 
 
 @pytest.mark.parametrize("section, name", [

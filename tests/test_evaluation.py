@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from privsplit import evaluation
 from privsplit.datasets import ClusterSpec, gen_toy_clusters
 from privsplit.evaluation import (
     AttackConfig,
@@ -12,6 +13,7 @@ from privsplit.evaluation import (
     psnr,
     scatter_report,
     separability,
+    wilson_interval,
     write_report_csv,
 )
 from privsplit.image import Image
@@ -96,6 +98,88 @@ class TestAttack:
             attack_train_eval(ds, FAST)
 
 
+class TestAttackConfig:
+    @pytest.mark.parametrize("field", ["hidden_width", "iterations", "batch_size"])
+    def test_counts_must_be_at_least_one(self, field):
+        with pytest.raises(ValueError, match=field):
+            AttackConfig(**{field: 0})
+
+    @pytest.mark.parametrize("alpha", [0.0, -1e-3, math.nan, math.inf])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            AttackConfig(alpha=alpha)
+
+
+class TestProbeDtype:
+    @pytest.fixture
+    def optimizers(self, monkeypatch):
+        made = []
+
+        class RecordingAdam(evaluation.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(evaluation, "Adam", RecordingAdam)
+        return made
+
+    @staticmethod
+    def assert_all_float32(opt):
+        assert evaluation.CLASSIFIER_DTYPE == np.float32
+        arrays = [opt._flat, opt.m, opt.v, opt._grad, opt._tmp]
+        for p in opt.params:
+            arrays += [p.data, p.grad]
+        assert all(a.dtype == np.float32 for a in arrays)
+
+    def test_one_attack_step_keeps_weights_gradients_and_adam_in_float32(self, optimizers):
+        attack_train_eval(toy(seed=12, per=20), AttackConfig(iterations=1, seed=2))
+        (opt,) = optimizers
+        assert opt.step_count == 1
+        self.assert_all_float32(opt)
+
+    def test_one_separability_step_keeps_weights_gradients_and_adam_in_float32(self, optimizers):
+        rng = np.random.default_rng(13)
+        separability(rng.standard_normal((40, 2)), rng.standard_normal((40, 2)),
+                     AttackConfig(iterations=1, seed=2))
+        (opt,) = optimizers
+        assert opt.step_count == 1
+        self.assert_all_float32(opt)
+
+    def test_float32_attack_agrees_with_float64_within_one_heldout_sample(self, monkeypatch):
+        ds = toy(seed=14, per=40)
+        acc32 = attack_train_eval(ds, FAST)
+        monkeypatch.setattr(evaluation, "CLASSIFIER_DTYPE", np.float64)
+        acc64 = attack_train_eval(ds, FAST)
+        assert abs(acc32 - acc64) <= 1.0 / ds.heldout_idx.size
+
+
+class TestWilsonInterval:
+    def test_half_of_ten(self):
+        low, high = wilson_interval(5, 10)
+        assert low == pytest.approx(0.2366, abs=1e-4)
+        assert high == pytest.approx(0.7634, abs=1e-4)
+
+    def test_all_correct_reaches_one(self):
+        low, high = wilson_interval(80, 80)
+        assert low == pytest.approx(80 / (80 + evaluation.WILSON_Z ** 2))
+        assert high == 1.0
+
+    def test_none_correct_starts_at_zero(self):
+        low, high = wilson_interval(0, 80)
+        assert low == 0.0 and 0.0 < high < 0.05
+
+    @pytest.mark.parametrize("n", [1, 7, 40, 80, 200])
+    def test_every_count_lies_inside_its_interval(self, n):
+        for k in range(n + 1):
+            low, high = wilson_interval(k, n)
+            assert 0.0 <= low <= k / n <= high <= 1.0
+
+    @pytest.mark.parametrize("successes, n", [(3, 0), (-1, 5), (6, 5)])
+    def test_bad_counts_rejected(self, successes, n):
+        with pytest.raises(ValueError, match="wilson"):
+            wilson_interval(successes, n)
+
+
 class TestSeparability:
     def test_same_distribution_is_chance(self):
         rng = np.random.default_rng(7)
@@ -138,8 +222,15 @@ class TestCompareMethods:
         assert zeroed.psnr_recon_db == math.inf  # identity reconstruct
         assert zeroed.proportion == 0.5
         lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "method,accuracy,chance,psnr_recon_db,psnr_encrypted_db,proportion"
+        assert lines[0] == ("method,accuracy,chance,psnr_recon_db,psnr_encrypted_db,"
+                            "proportion,ci_low,ci_high")
         assert len(lines) == 5
+        assert lines[2].endswith(",,")  # Random trains no classifier, so has no interval
+        n = ds.heldout_idx.size
+        for r in (reports[0], *reports[2:]):
+            assert (r.ci_low, r.ci_high) == wilson_interval(round(r.accuracy * n), n)
+            assert r.ci_low <= r.accuracy <= r.ci_high
+        assert reports[1].ci_low is None and reports[1].ci_high is None
 
     def test_failing_method_is_flagged_and_others_survive(self):
         ds = toy(seed=7, per=40)

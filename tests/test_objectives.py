@@ -45,6 +45,15 @@ class TestBce:
         out = bce(Tensor(probs), 0)
         assert np.allclose(out.data, [bce(p, 0) for p in probs], atol=1e-15)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_tensor_path_keeps_the_probability_dtype(self, dtype, target):
+        logits = Tensor(np.array([[-2.0], [0.5], [3.0]], dtype=dtype), requires_grad=True)
+        loss = generator_adversarial_loss(sigmoid(logits), sigmoid(logits))
+        out = bce(sigmoid(logits), target)
+        backward(loss)
+        assert out.data.dtype == loss.data.dtype == logits.grad.dtype == dtype
+
     def test_clamps_before_log(self):
         # exactly 0 or 1 must not produce infinities
         assert math.isfinite(bce(0.0, 1))

@@ -21,15 +21,18 @@ class AdamState:
 
     @classmethod
     def init(cls, size: int, alpha: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
-        return cls(step=0, m=np.zeros(size), v=np.zeros(size),
+             beta2: float = 0.999, epsilon: float = 1e-8, dtype=np.float64) -> "AdamState":
+        return cls(step=0, m=np.zeros(size, dtype), v=np.zeros(size, dtype),
                    alpha=alpha, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update: the reference `Adam` is checked against."""
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
+    """One bias-corrected Adam update: the reference `Adam` is checked against.
+
+    It computes in the dtype of `params`, `grads` and the state's moments.
+    """
+    params = np.asarray(params)
+    grads = np.asarray(grads)
     if params.shape != grads.shape or params.size != state.m.size:
         raise ValueError(
             f"adam_step length mismatch: params {params.size}, grads {grads.size}, state {state.m.size}")
@@ -116,19 +119,32 @@ class TestAdamWrapper:
         # straddles a block boundary, and the gradient-less third one ends the buffer
         assert_flat_adam_matches_adam_step([(300, 200), (10000,), (28321,)])
 
+    @pytest.mark.parametrize("shapes", [[(3, 4), (4,), (2, 2), (5,)],
+                                        [(300, 200), (10000,), (28321,)]])
+    def test_float32_matches_per_tensor_adam_step_at_float32_bitwise(self, shapes):
+        opt = assert_flat_adam_matches_adam_step(shapes, np.float32)
+        buffers = (opt._flat, opt.m, opt.v, opt._grad, opt._tmp, *(p.data for p in opt.params))
+        assert all(b.dtype == np.float32 for b in buffers)
 
-def assert_flat_adam_matches_adam_step(shapes):
-    """Flat `Adam` over `shapes` equals a per-tensor `adam_step` over 20 steps."""
+    def test_mixed_dtypes_raise(self):
+        params = [Tensor(np.ones(3, np.float32), requires_grad=True),
+                  Tensor(np.ones(2), requires_grad=True)]
+        with pytest.raises(ValueError, match="one dtype"):
+            Adam(params)
+
+
+def assert_flat_adam_matches_adam_step(shapes, dtype=np.float64):
+    """Flat `Adam` over `shapes` equals a per-tensor `adam_step` over 20 steps, in `dtype`."""
     rng = np.random.default_rng(4)
-    tensors = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    tensors = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
     ref_params = [t.data.reshape(-1).copy() for t in tensors]
-    ref_states = [AdamState.init(t.data.size, alpha=0.01) for t in tensors]
+    ref_states = [AdamState.init(t.data.size, alpha=0.01, dtype=dtype) for t in tensors]
     opt = Adam(tensors, alpha=0.01)
     for step in range(20):
         for i, t in enumerate(tensors):
             # the third tensor never gets a gradient, like a parameter off the loss path
-            t.grad = None if i == 2 else rng.standard_normal(t.data.shape)
-            grad = np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1)
+            t.grad = None if i == 2 else rng.standard_normal(t.data.shape).astype(dtype)
+            grad = np.zeros(t.data.size, dtype) if t.grad is None else t.grad.reshape(-1)
             ref_params[i], ref_states[i] = adam_step(ref_params[i], grad, ref_states[i])
         opt.step()
         for t, ref in zip(tensors, ref_params):
@@ -137,3 +153,5 @@ def assert_flat_adam_matches_adam_step(shapes):
     assert opt.step_count == 20
     assert np.array_equal(opt.m, np.concatenate([s.m for s in ref_states]))
     assert np.array_equal(opt.v, np.concatenate([s.v for s in ref_states]))
+    assert all(r.dtype == dtype for r in ref_params)
+    return opt

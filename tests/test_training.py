@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -237,6 +238,19 @@ class TestTrainConfigValidation:
     def test_bad_lambda(self):
         with pytest.raises(ValueError, match="lam"):
             TrainConfig(iterations=1, lam=-0.1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha", 0.0), ("alpha", -1e-3), ("alpha", math.inf), ("alpha", math.nan),
+        ("epsilon", 0.0), ("epsilon", math.inf),
+        ("beta1", -0.1), ("beta1", 1.0), ("beta1", 1.8), ("beta2", 1.0), ("beta2", math.nan),
+        ("noise_std", -1.0), ("noise_std", math.inf), ("noise_std", math.nan),
+    ])
+    def test_bad_optimizer_and_noise_settings(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(iterations=1, **{name: value})
+
+    def test_edge_optimizer_and_noise_settings_are_accepted(self):
+        TrainConfig(iterations=1, beta1=0.0, beta2=0.0, noise_std=0.0)
 
     def test_proportion_must_divide_feature_width(self):
         with pytest.raises(ValueError, match="positive integer"):
