@@ -523,14 +523,17 @@ def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor], eps: float = 1
     """Max relative error between analytic and central-difference gradients.
 
     `f` must be a deterministic zero-argument closure over `params` returning
-    a scalar tensor. Relative error per entry is
-    |analytic - numeric| / max(1e-12, |analytic| + |numeric|).
+    a scalar tensor. Relative error per entry is |analytic - numeric| /
+    max(|analytic| + |numeric|, 1e-3 * the largest analytic magnitude): the
+    floor keeps finite-difference rounding on a near-zero entry from reading
+    as a wrong gradient, while a 1 % error still fails down to 1e-5 of it.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     params = list(params)
     grads = backward(f())
     analytic = [grads[p].copy() if p in grads else np.zeros_like(p.data) for p in params]
+    floor = max([1e-12] + [1e-3 * float(np.abs(a).max(initial=0.0)) for a in analytic])
 
     worst = 0.0
     for p, a in zip(params, analytic):
@@ -544,6 +547,6 @@ def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor], eps: float = 1
             lo = f().item()
             flat[i] = saved
             numeric = (hi - lo) / (2.0 * eps)
-            err = abs(a_flat[i] - numeric) / max(1e-12, abs(a_flat[i]) + abs(numeric))
+            err = abs(a_flat[i] - numeric) / max(floor, abs(a_flat[i]) + abs(numeric))
             worst = max(worst, err)
     return worst

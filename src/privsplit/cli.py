@@ -233,7 +233,7 @@ def write_run_files(outdir: Path, command: str, config: dict, seed: int) -> None
 # check
 
 
-def cmd_check(seed: int = 0, fault_hook=None, out=None) -> int:
+def cmd_check(seed: int = 0, out=None) -> int:
     """Numeric self-checks; prints one PASS/FAIL line per check to `out` (stdout)."""
     failures = 0
 
@@ -264,9 +264,7 @@ def cmd_check(seed: int = 0, fault_hook=None, out=None) -> int:
                 x_r, x, phi=lambda t: perceptual_features(t, bundle), lam=0.01)
             return l_ad + recon
 
-        err = grad_check(full_loss, bundle.all_parameters(), eps=1e-5,
-                         ) if fault_hook is None else fault_hook(full_loss, bundle)
-        worst = max(worst, err)
+        worst = max(worst, grad_check(full_loss, bundle.all_parameters(), eps=1e-5))
     report("gradient-check", worst < 1e-4, f"max relative error {worst:.3e}")
 
     # 2. shared objective at the optimal discriminator == ln4 - 2*JSD

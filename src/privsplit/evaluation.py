@@ -5,16 +5,17 @@ a fresh MLP classifier is trained on the encrypted samples with their true
 labels, and its held-out accuracy measures how much recognizable signal the
 obfuscation leaks. The classifier never shares parameters with the trained
 encryption model or its discriminator. :func:`compare_methods` reports each
-accuracy with a Wilson 95 % interval over the held-out count.
+accuracy with a Wilson 95 % interval over the held-out count. There is one
+probe: :func:`separability` runs the same classifier on reconstructed
+against encrypted samples, split by source (a classifier two-sample test,
+Lopez-Paz & Oquab, arXiv 1610.06545).
 
-Both probes, the attack classifier and the separability classifier, train
-and predict in float32 (``CLASSIFIER_DTYPE``). They are instruments: each
-reads one accuracy off a held-out split (80 images on the tiny-image set),
-whose 95 % interval spans many samples, and float32 rounding is far below
-that (every float32 accuracy measured against float64 was equal; CHANGES.md
-keeps the table). Float32 halves the memory traffic of their Adam updates
-and matmuls, which are most of an attack run. Their layers come from the
-same float64 draws as before, rounded, and their inputs are cast once. The
+The probe trains and predicts in float32 (``CLASSIFIER_DTYPE``). It is an
+instrument: it reads one accuracy off a held-out split (80 images on the
+tiny-image set), whose 95 % interval spans many samples, and float32
+rounding is far below that (every float32 accuracy measured against float64
+was equal; CHANGES.md keeps the table). Float32 halves the memory traffic of
+its Adam updates and matmuls, which are most of an attack run. The
 encryption model, its discriminator and the perceptual net train in
 float64, as do ``privsplit check`` and every bitwise test of training.
 """
@@ -28,10 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, backward, sigmoid, softmax_cross_entropy, tmean
-from .datasets import LabeledDataset
+from .autodiff import Tensor, backward, softmax_cross_entropy
+from .datasets import LabeledDataset, _split_indices
 from .models import _init_mlp, _mlp_forward
-from .objectives import bce
 from .optim import Adam
 from .svgplot import Panel, cluster_color, scatter_grid
 
@@ -50,7 +50,7 @@ def psnr(a, b, peak: float) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-# The dtype both probes train and predict in (see the module docstring).
+# The dtype the probe trains and predicts in (see the module docstring).
 CLASSIFIER_DTYPE = np.float32
 
 
@@ -71,26 +71,17 @@ class AttackConfig:
             raise ValueError(f"attack alpha must be finite and positive, got {self.alpha}")
 
 
-def _train_classifier(features, labels, out_width, loss_kind, config: AttackConfig):
-    """A fresh MLP trained on (`features`, `labels`) in the dtype of `features`."""
+def _train_classifier(features, labels, out_width, config: AttackConfig):
+    """A fresh softmax MLP trained on (`features`, `labels`) in the dtype of `features`."""
     rng = np.random.default_rng(config.seed)
-    dtype = features.dtype
     widths = [features.shape[1], config.hidden_width, config.hidden_width, out_width]
-    layers = _init_mlp(rng, widths, dtype=dtype)
+    layers = _init_mlp(rng, widths, dtype=features.dtype)
     opt = Adam([t for layer in layers for t in (layer.w, layer.b)], alpha=config.alpha)
     n = features.shape[0]
     for _ in range(config.iterations):
         idx = rng.integers(0, n, size=config.batch_size)
         x = Tensor(features[idx])
-        logits = _mlp_forward(layers, x)
-        if loss_kind == "softmax":
-            loss = softmax_cross_entropy(logits, labels[idx])
-        else:
-            probs = sigmoid(logits)
-            rows = labels[idx].reshape(-1, 1)
-            loss = tmean(bce(probs, 1) * Tensor(rows.astype(dtype))
-                         + bce(probs, 0) * Tensor((1 - rows).astype(dtype)))
-        backward(loss)
+        backward(softmax_cross_entropy(_mlp_forward(layers, x), labels[idx]))
         opt.step()
     return layers
 
@@ -103,7 +94,7 @@ def attack_train_eval(encrypted: LabeledDataset, config: AttackConfig | None = N
     # cast straight from the row gather, so no float64 copy of the rows stays alive
     train_x = encrypted.features[encrypted.train_idx].astype(CLASSIFIER_DTYPE, copy=False)
     train_y = encrypted.labels[encrypted.train_idx]
-    layers = _train_classifier(train_x, train_y, encrypted.class_count, "softmax", config)
+    layers = _train_classifier(train_x, train_y, encrypted.class_count, config)
     held = encrypted.features[encrypted.heldout_idx].astype(CLASSIFIER_DTYPE, copy=False)
     logits = _mlp_forward(layers, Tensor(held))
     predicted = logits.data.argmax(axis=1)
@@ -111,26 +102,26 @@ def attack_train_eval(encrypted: LabeledDataset, config: AttackConfig | None = N
 
 
 def separability(recon_samples, encrypted_samples, config: AttackConfig | None = None) -> float:
-    """Held-out accuracy of a fresh binary classifier on the two sample sets.
+    """Held-out accuracy of the attack classifier told recon (1) from encrypted (0).
 
-    0.5 means the sets are indistinguishable, 1.0 maximal discrepancy. The
-    classifier is never the training-time discriminator.
+    Row i of both sets comes from source i, and the split is drawn over
+    sources, so a probe cannot score by memorizing the other row of a pair.
+    0.5 means the sets are indistinguishable, 1.0 maximal discrepancy.
     """
     config = config or AttackConfig()
-    recon = np.asarray(recon_samples, dtype=CLASSIFIER_DTYPE)
-    encrypted = np.asarray(encrypted_samples, dtype=CLASSIFIER_DTYPE)
-    if recon.shape[0] == 0 or encrypted.shape[0] == 0:
-        raise ValueError("separability needs two non-empty sample sets")
-    x = np.concatenate([recon, encrypted])
-    y = np.concatenate([np.ones(recon.shape[0], dtype=np.int64),
-                        np.zeros(encrypted.shape[0], dtype=np.int64)])
-    rng = np.random.default_rng(config.seed)
-    order = rng.permutation(x.shape[0])
-    x, y = x[order], y[order]
-    cut = max(1, x.shape[0] // 10)
-    layers = _train_classifier(x[cut:], y[cut:], 1, "bce", config)
-    probs = sigmoid(_mlp_forward(layers, Tensor(x[:cut]))).data[:, 0]
-    return float(((probs > 0.5).astype(np.int64) == y[:cut]).mean())
+    recon, encrypted = np.asarray(recon_samples), np.asarray(encrypted_samples)
+    if min(len(recon), len(encrypted)) < 2:  # a source to train on and one to hold out
+        raise ValueError("separability needs two non-empty sample sets of at least 2 rows")
+    if recon.shape != encrypted.shape:
+        raise ValueError(f"separability needs paired sets of equal shape, "
+                         f"got {recon.shape} and {encrypted.shape}")
+    n = recon.shape[0]
+    train, held = _split_indices(n, np.random.default_rng(config.seed))
+    pairs = LabeledDataset(features=np.concatenate([recon, encrypted]),
+                           labels=np.repeat([1, 0], n), class_count=2,
+                           train_idx=np.concatenate([train, train + n]),
+                           heldout_idx=np.concatenate([held, held + n]))
+    return attack_train_eval(pairs, config)
 
 
 # ---------------------------------------------------------------------------

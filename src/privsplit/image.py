@@ -92,6 +92,8 @@ def load_pixmap(path) -> Image:
         except ValueError:
             raise PixmapError(f"non-numeric header field {token!r}") from None
     width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise PixmapError(f"bad dimensions {width}x{height}")
     if maxval != 255:
         raise UnsupportedPixmapError(f"only maxval 255 is supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval

@@ -35,6 +35,7 @@ version raises :class:`CheckpointVersionError`.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import tokenize
@@ -333,9 +334,13 @@ def _member(archive, name: str) -> np.ndarray:
         return archive[name]
     except KeyError:
         raise MalformedCheckpointError(f"checkpoint has no array {name!r}") from None
-    # a damaged .npy member or one that needs pickle; numpy's fallback parser
-    # for a garbled version-1.0 .npy header raises TokenError
-    except (ValueError, tokenize.TokenError) as exc:
+    # a damaged .npy member or one that needs pickle: a garbled .npy header
+    # or dtype string raises TokenError or SyntaxError, and a damaged central
+    # directory makes zipfile seek before the file start (EINVAL; any other
+    # OSError is a real read error)
+    except (ValueError, SyntaxError, tokenize.TokenError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.errno != errno.EINVAL:
+            raise
         raise MalformedCheckpointError(f"checkpoint array {name!r} is unreadable: {exc}") from exc
 
 

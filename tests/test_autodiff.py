@@ -288,6 +288,79 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(lambda: tsum(w), [w], eps=0.0)
 
+    def test_rounding_on_a_near_zero_gradient_passes(self):
+        # f is ~3e3, so one rounding step of f (~5e-13) over 2 eps swamps the
+        # 3e-8 gradient of v; that entry reads near 1 without the floor
+        u = Tensor(np.full(3, 1.0), requires_grad=True)
+        v = Tensor(np.full(2, 0.5), requires_grad=True)
+
+        def loss():
+            return tsum(square(u)) * Tensor(1e3) + tsum(v * Tensor(3e-8))
+
+        assert grad_check(loss, [u, v], eps=1e-5) < 1e-4
+
+
+def decades_problem():
+    """A loss, its parameters and their true gradients, spanning seven decades."""
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((5, 7)) * 10.0 ** -np.arange(7))
+    w = rand_tensor(rng, (7, 3))
+    b = rand_tensor(rng, (3,))
+
+    def loss():
+        return tmean(square(tanh(matmul(x, w) + b)))
+
+    grads = backward(loss())
+    return loss, [w, b], [grads[w].copy(), grads[b].copy()]
+
+
+def analytic_from(wrong, right):
+    """A loss whose first call, grad_check's analytic pass, runs `wrong`;
+    every later call, the central differences, runs `right`."""
+    calls = []
+
+    def f():
+        calls.append(None)
+        return wrong() if len(calls) == 1 else right()
+
+    return f
+
+
+def with_analytic_error(f, param, index, delta):
+    """`f` whose analytic derivative by `param.flat[index]` is off by `delta`."""
+    offset = np.zeros_like(param.data)
+    offset.flat[index] = delta
+    return analytic_from(lambda: f() + tsum(param * Tensor(offset)), f)
+
+
+class TestGradCheckFindsWrongGradients:
+    def test_one_percent_error_on_a_mid_size_entry_reads_5e_3(self):
+        loss, params, grads = decades_problem()
+        w, g = params[0], grads[0]
+        top = max(np.abs(a).max() for a in grads)
+        mid = int(np.argmin(np.abs(np.abs(g.reshape(-1)) - 1e-2 * top)))
+        err = grad_check(with_analytic_error(loss, w, mid, 0.01 * g.flat[mid]), params)
+        assert err == pytest.approx(0.01 / 2.01, rel=1e-3)  # 5.0e-3
+
+    def test_one_percent_error_fails_on_every_entry_down_to_1e_5_of_the_largest(self):
+        loss, params, grads = decades_problem()
+        top = max(np.abs(a).max() for a in grads)
+        checked = 0
+        for p, g in zip(params, grads):
+            for i in np.flatnonzero(np.abs(g.reshape(-1)) >= 1e-5 * top):
+                for sign in (1.0, -1.0):
+                    f = with_analytic_error(loss, p, i, sign * 0.01 * g.flat[i])
+                    assert grad_check(f, params) >= 1e-4, (p.shape, i, g.flat[i] / top)
+                checked += 1
+        # the problem reaches below the floor, so the small entries are covered
+        assert checked >= 15 and np.abs(grads[0]).min() < 1e-5 * top
+
+    def test_dropped_loss_term_fails(self):
+        loss, params, _ = decades_problem()
+        w = params[0]
+        penalized = analytic_from(loss, lambda: loss() + tsum(square(w)) * Tensor(1e-2))
+        assert grad_check(penalized, params) >= 1e-4
+
 
 class TestOpGradientsProperty:
     """Every registered op matches central differences on random small shapes."""

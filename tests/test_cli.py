@@ -1,6 +1,9 @@
 import csv
+import errno
 import hashlib
+import struct
 import tempfile
+import zipfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -76,6 +79,28 @@ def test_obfuscate_on_truncated_checkpoint_exits_1(trained_run, capsys):
     broken.write_bytes(blob[: len(blob) // 2])
     assert obfuscate(trained_run, broken) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_obfuscate_on_member_offset_before_file_start_exits_1(trained_run, capsys):
+    # raising the central directory's offset past the file size moves every
+    # member's offset before byte 0; the seek there fails with EINVAL
+    blob = bytearray((trained_run / "run" / "checkpoint.npz").read_bytes())
+    end = blob.rfind(b"PK\x05\x06") + 16
+    (offset,) = struct.unpack_from("<I", blob, end)
+    struct.pack_into("<I", blob, end, offset + len(blob))
+    broken = trained_run / "offsets.npz"
+    broken.write_bytes(bytes(blob))
+    assert obfuscate(trained_run, broken) == 1
+    assert capsys.readouterr().err.startswith("error: checkpoint array")
+
+
+def test_obfuscate_on_checkpoint_read_error_exits_3(trained_run, monkeypatch, capsys):
+    def failing_open(self, *args, **kwargs):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(zipfile.ZipFile, "open", failing_open)
+    assert obfuscate(trained_run, trained_run / "run" / "checkpoint.npz") == 3
+    assert "Input/output error" in capsys.readouterr().err
 
 
 def test_obfuscate_on_version_1_checkpoint_exits_1(trained_run, capsys):

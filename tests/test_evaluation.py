@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +193,29 @@ class TestSeparability:
         rng = np.random.default_rng(8)
         a = rng.standard_normal((300, 2))
         assert separability(a, a.copy(), FAST) <= 0.55
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_paired_near_identical_inputs_read_chance_from_both_sides(self, seed):
+        # a probe that memorizes scores below chance here when the two rows of
+        # one source can land on opposite sides of the split
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((500, 2))
+        b = a + 1e-6 * rng.standard_normal((500, 2))
+        assert abs(separability(a, b, replace(FAST, seed=seed)) - 0.5) <= 0.05
+
+    def test_identical_pairs_read_exactly_half(self):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((300, 2))
+        assert separability(a, a.copy(), FAST) == 0.5
+
+    def test_single_pair_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            separability(np.zeros((1, 2)), np.ones((1, 2)), FAST)
+
+    @pytest.mark.parametrize("shape", [(200, 2), (300, 3)])
+    def test_unequal_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="equal shape"):
+            separability(np.zeros((300, 2)), np.zeros(shape), FAST)
 
     def test_distant_clusters_fully_separable(self):
         rng = np.random.default_rng(9)

@@ -1,8 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privsplit.image import (
     Image,
+    PixmapError,
     TruncatedPixmapError,
     UnsupportedPixmapError,
     load_pixmap,
@@ -84,3 +89,60 @@ class TestPixmapRoundTrip:
         path.write_bytes(b"P5\n4 4\n255\n" + bytes([0] * 5))
         with pytest.raises(TruncatedPixmapError, match="payload"):
             load_pixmap(path)
+
+    def test_zero_dimensions_are_a_pixmap_error(self, tmp_path):
+        path = tmp_path / "z.pgm"
+        path.write_bytes(b"P5 0 0 255\n")
+        with pytest.raises(PixmapError, match="dimensions 0x0"):
+            load_pixmap(path)
+
+    def test_negative_width_is_a_pixmap_error(self, tmp_path):
+        path = tmp_path / "n.pgm"
+        path.write_bytes(b"P5 -3 2 255\n" + bytes(6))
+        with pytest.raises(PixmapError, match="dimensions -3x2"):
+            load_pixmap(path)
+
+
+HEADER_BYTES = st.one_of(
+    st.binary(min_size=1, max_size=3),
+    st.lists(st.sampled_from(b"P0123456789 -+#\n\t"), min_size=1, max_size=3).map(bytes),
+    st.integers(-2, 300).map(lambda v: b"%d " % v))
+
+
+def mutate(blob: bytes, edits) -> bytes:
+    """Apply (kind, position, data) edits; positions wrap around the blob."""
+    out = bytearray(blob)
+    for kind, pos, data in edits:
+        pos %= len(out) + 1
+        if kind == "set":
+            out[pos:pos + len(data)] = data
+        elif kind == "insert":
+            out[pos:pos] = data
+        elif kind == "delete":
+            del out[pos:pos + len(data)]
+        else:
+            del out[pos:]
+    return bytes(out)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(w=st.integers(1, 4), h=st.integers(1, 4), channels=st.sampled_from([1, 3]),
+       comment=st.booleans(),
+       declared=st.none() | st.tuples(st.integers(-2, 6), st.integers(-2, 6)),
+       edits=st.lists(st.tuples(st.sampled_from(["set", "insert", "delete", "truncate"]),
+                                st.integers(0, 40), HEADER_BYTES), max_size=4))
+def test_mutated_pixmap_loads_or_raises_a_pixmap_error(w, h, channels, comment, declared,
+                                                       edits):
+    """A valid pixmap, perhaps with other declared dimensions, then byte edits."""
+    img = checker(w, h, channels)
+    magic = b"P5" if channels == 1 else b"P6"
+    blob = b"%s\n%s%d %d\n255\n" % (magic, b"# note\n" if comment else b"",
+                                     *(declared or (w, h))) + img.pixels.tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.pnm"
+        path.write_bytes(mutate(blob, edits))
+        try:
+            loaded = load_pixmap(path)
+        except PixmapError:
+            return
+        assert loaded.pixels.shape == (loaded.height, loaded.width, loaded.channels)

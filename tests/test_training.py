@@ -1,11 +1,17 @@
+import errno
 import gc
 import hashlib
 import json
 import math
+import struct
+import tempfile
+import zipfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privsplit import training
 from privsplit.autodiff import Tensor
@@ -478,6 +484,37 @@ class TestCheckpoints:
         with pytest.raises(OSError):
             load_checkpoint(tmp_path / "absent.ckpt")
 
+    def test_member_offset_before_file_start_is_malformed(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        path.write_bytes(offsets_before_file_start(path.read_bytes()))
+        with pytest.raises(MalformedCheckpointError, match="unreadable"):
+            load_checkpoint(path)
+
+    def test_garbled_member_dtype_is_malformed(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        # same length, so the header stays aligned; numpy's dtype parser
+        # raises SyntaxError on the unclosed comma form
+        members["encoder.0.w.npy"] = members["encoder.0.w.npy"].replace(
+            b"'<f8', ", b"'f8,(',", 1)
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in members.items():
+                archive.writestr(name, data)
+        with pytest.raises(MalformedCheckpointError, match="encoder.0.w"):
+            load_checkpoint(path)
+
+    def test_a_read_error_stays_an_oserror(self, tmp_path, monkeypatch):
+        path = saved_checkpoint(tmp_path)
+
+        def failing_open(self, *args, **kwargs):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(zipfile.ZipFile, "open", failing_open)
+        with pytest.raises(OSError) as info:
+            load_checkpoint(path)
+        assert info.value.errno == errno.EIO
+
 
 class TestHistoryCsv:
     def test_columns_and_empty_cells(self, tmp_path):
@@ -498,3 +535,47 @@ class TestHistoryCsv:
             _, history = train(data, cfg)
             write_history_csv(history, tmp_path / name)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def offsets_before_file_start(blob: bytes) -> bytes:
+    """`blob` with its central directory offset raised past the file size.
+
+    zipfile takes the difference as a prefix of the archive and moves every
+    member's offset back by it, so the first member read seeks before byte 0.
+    """
+    out = bytearray(blob)
+    end = out.rfind(b"PK\x05\x06") + 16
+    (offset,) = struct.unpack_from("<I", out, end)
+    struct.pack_into("<I", out, end, offset + len(out))
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_blob(tmp_path_factory):
+    """A saved checkpoint's bytes, and where its zip and .npy headers start."""
+    blob = saved_checkpoint(tmp_path_factory.mktemp("fuzz")).read_bytes()
+    directory = struct.unpack_from("<I", blob, blob.rfind(b"PK\x05\x06") + 16)[0]
+    members = [i for i in range(directory) if blob.startswith(b"PK\x03\x04", i)]
+    return blob, directory, members
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_byte_flipped_checkpoint_loads_or_raises_a_checkpoint_error(checkpoint_blob, data):
+    blob, directory, members = checkpoint_blob
+    blob = bytearray(blob)
+    # most bytes are weights; aim two of three flips at the zip and .npy headers
+    position = st.one_of(
+        st.integers(0, len(blob) - 1),
+        st.integers(directory, len(blob) - 1),
+        st.builds(lambda start, k: start + k, st.sampled_from(members), st.integers(0, 160)))
+    for pos, mask in data.draw(st.lists(st.tuples(position, st.integers(1, 255)),
+                                        min_size=1, max_size=3)):
+        blob[pos] ^= mask
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.npz"
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except (MalformedCheckpointError, CheckpointVersionError):
+            pass
