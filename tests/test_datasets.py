@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,13 @@ class TestTinyImages:
         a = make_tiny_image_dataset(class_count=3, per_class=20, seed=2)
         b = make_tiny_image_dataset(class_count=3, per_class=20, seed=2)
         assert np.array_equal(a.features, b.features)
+
+    def test_builtin_features_pinned(self):
+        # sha256 taken when the features were built by stacking per-image rows
+        ds = make_tiny_image_dataset(seed=0)
+        assert ds.features.dtype == np.float64 and ds.features.shape == (800, 1024)
+        assert hashlib.sha256(ds.features.tobytes()).hexdigest() == (
+            "448bd6802600d80352ba8a2b61201ab4b25fc1f99adc3d7614419798d3e60fd7")
 
     def test_features_match_images(self):
         ds = make_tiny_image_dataset(class_count=3, per_class=20, seed=3)

@@ -6,6 +6,7 @@ import math
 import struct
 import tempfile
 import zipfile
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from privsplit import training
 from privsplit.autodiff import Tensor
-from privsplit.datasets import ClusterSpec, gen_toy_clusters
+from privsplit.datasets import ClusterSpec, gen_toy_clusters, make_tiny_image_dataset
 from privsplit.evaluation import AttackConfig, attack_train_eval, separability
 from privsplit.models import NoiseSpec, decode, encrypt, perceptual_features, reconstruct
 from privsplit.objectives import msednet_loss, reconstruction_loss
@@ -230,6 +231,36 @@ class TestAblations:
         h1 = train(data, cfg)[1]
         h2 = train(data, cfg)[1]
         assert h1.l_g_total == h2.l_g_total
+
+
+def run_digest(bundle, history) -> str:
+    """sha256 of a run's history (as JSON, so floats by their exact repr) and final parameters."""
+    digest = hashlib.sha256(json.dumps(asdict(history)).encode())
+    for t in bundle.all_parameters():
+        digest.update(t.data.tobytes())
+    return digest.hexdigest()
+
+
+class TestBitwisePins:
+    """Digests taken before gradients moved into Adam's flat buffer and spent
+    gradients were freed early: neither may change a bit. Like the pin above,
+    they follow the BLAS kernels' summation order (x86-64, OpenBLAS 0.3.31)."""
+
+    @pytest.mark.parametrize("ablation, expected", [
+        ("full", "c43c6dd9cb0f8e2166698731858e233d27ea787bb3b38cde551b138c434c85eb"),
+        ("no_collaborative", "add33518b134cee01ecc2aab9e0197ff567554c6989c730854479064010f6c82"),
+        ("msednet", "269699fe170018c09bfa33e39cf11ac2311a19cdd048a910a860489214bf0737"),
+    ])
+    def test_toy_run_pinned(self, ablation, expected):
+        run = train(small_blobs(), quick_config(ablation=ablation, iterations=30))
+        assert run_digest(*run) == expected
+
+    def test_image_run_with_perceptual_term_pinned(self):
+        ds = make_tiny_image_dataset(seed=0)
+        cfg = TrainConfig(iterations=10, seed=5, input_width=ds.width, use_perceptual=True)
+        run = train(ds.features[ds.train_idx], cfg)
+        assert run_digest(*run) == (
+            "91df8df24c752f362c25befc8a87a93ae98158c77c5bad35eecda24c666959f4")
 
 
 class TestTrainConfigValidation:
