@@ -12,6 +12,16 @@ its own output, so a graph holds no reference cycle: once the last name bound
 to its loss goes, reference counting frees every node and its arrays at once,
 without waiting for the cyclic garbage collector.
 
+Who owns a gradient: :func:`backward` drops an interior node's ``grad``
+(an op output's) as soon as that node's closure has spent it, so only the
+root and the leaves hold a gradient afterwards. A leaf's first gradient of a
+pass is a fresh array, unless the leaf has a ``grad_buffer``: an optimizer
+hands each parameter it trains a view into its own flat gradient buffer,
+and the first contribution is written straight into that view (a weight's
+product by ``np.matmul(..., out=)``, a bias's column sum by
+``np.sum(..., out=)``), later ones added in place. The parameter's ``grad``
+is then that very view, so the optimizer reads it without a copy.
+
 Dtypes follow the data. A float32 array stays float32: every op on float32
 operands yields a float32 output, :func:`backward` seeds a float32 loss
 with a float32 one, and every gradient an op routes is float32. Any other
@@ -63,10 +73,11 @@ class Tensor:
     float64), ``grad`` (same shape and dtype) is populated by
     :func:`backward` for nodes with ``requires_grad``. Leaf tensors are
     parameters or constants; op outputs carry a closure that takes the
-    output gradient and routes it to the parents.
+    output gradient and routes it to the parents. ``grad_buffer``, when an
+    optimizer has set it, is the array that receives the gradient.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop")
+    __slots__ = ("data", "grad", "grad_buffer", "requires_grad", "_parents", "_backprop")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -76,6 +87,7 @@ class Tensor:
             raise ValueError(f"tensors are at most 2-D, got shape {arr.shape}")
         self.data = arr
         self.grad: np.ndarray | None = None
+        self.grad_buffer: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backprop: Callable[[np.ndarray], None] | None = None
@@ -150,17 +162,29 @@ def _checked_product(a: Tensor, b: Tensor, op: str) -> np.ndarray:
 def _accumulate(t: Tensor, grad: np.ndarray, owned: bool = False) -> None:
     """Add `grad` into ``t.grad``.
 
-    The first gradient of a pass is stored rather than added to zeros. It is
-    copied unless the caller `owned` it (a fresh array no one else holds),
-    because an op's output gradient, a view of one or a broadcast can be
-    shared by several parents.
+    The first gradient of a pass is stored rather than added to zeros: copied
+    into ``t.grad_buffer`` when there is one, else copied unless the caller
+    `owned` it (a fresh array no one else holds), because an op's output
+    gradient, a view of one or a broadcast can be shared by several parents.
     """
     if t.grad is not None:
         t.grad += grad
+    elif t.grad_buffer is not None:
+        np.copyto(t.grad_buffer, grad)
+        t.grad = t.grad_buffer
     elif grad.shape != t.data.shape:
         t.grad = np.broadcast_to(grad, t.data.shape).copy()
     else:
         t.grad = grad if owned else grad.copy()
+
+
+def _accumulate_result(t: Tensor, fn: Callable[..., np.ndarray], *args) -> None:
+    """Add ``fn(*args)`` into ``t.grad``; a first result of a pass is written
+    straight into ``t.grad_buffer`` by ``fn(*args, out=...)``."""
+    if t.grad is None and t.grad_buffer is not None:
+        t.grad = fn(*args, out=t.grad_buffer)
+    else:
+        _accumulate(t, fn(*args), owned=True)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -208,8 +232,10 @@ def backward(loss: Tensor, graph: Graph | None = None) -> dict[Tensor, np.ndarra
 
     Grads of tensors inside the graph are cleared first and each node's
     first incoming gradient is stored, later ones added, so repeated calls
-    from the same state are bitwise identical. Returns the gradient map for
-    the requires-grad leaves (the parameters).
+    from the same state are bitwise identical. An interior node's gradient
+    is dropped once its closure has routed it; the root and the leaves keep
+    theirs. Returns the gradient map for the requires-grad leaves (the
+    parameters).
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -224,6 +250,8 @@ def backward(loss: Tensor, graph: Graph | None = None) -> dict[Tensor, np.ndarra
     for node in reversed(graph.nodes):
         if node._backprop is not None and node.requires_grad:
             node._backprop(node.grad)
+            if node is not loss:
+                node.grad = None
     return {n: n.grad for n in graph.nodes if n.requires_grad and not n._parents}
 
 
@@ -282,9 +310,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backprop(out_grad):
         if a.requires_grad:
-            _accumulate(a, out_grad @ b.data.T, owned=True)
+            _accumulate_result(a, np.matmul, out_grad, b.data.T)
         if b.requires_grad:
-            _accumulate(b, a.data.T @ out_grad, owned=True)
+            _accumulate_result(b, np.matmul, a.data.T, out_grad)
 
     return _op(out_data, (a, b), backprop)
 
@@ -398,11 +426,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
     def backprop(out_grad):
         g = out_grad if grad_of is None else grad_of(y, out_grad)
         if x.requires_grad:
-            _accumulate(x, g @ w.data.T, owned=True)
+            _accumulate_result(x, np.matmul, g, w.data.T)
         if w.requires_grad:
-            _accumulate(w, x.data.T @ g, owned=True)
+            _accumulate_result(w, np.matmul, x.data.T, g)
         if b.requires_grad:
-            _accumulate(b, g.sum(axis=0), owned=True)
+            _accumulate_result(b, np.sum, g, 0)
 
     return _op(y, (x, w, b), backprop)
 
@@ -488,7 +516,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     def backprop(out_grad):
         if a.requires_grad:
             if a.grad is None:
-                a.grad = np.zeros_like(a.data)
+                _accumulate(a, np.zeros((), a.data.dtype))
             a.grad[:, start:stop] += out_grad
 
     return _op(a.data[:, start:stop].copy(), (a,), backprop)

@@ -19,7 +19,9 @@ from the data. The seeds default to the run seed (the attack's to run seed
 ``proportions``; and ``[plot]`` ``points_per_cluster``. A sweep trains each
 proportion for ``[train] iterations``.
 
-Exit codes: 0 success, 1 check/assertion failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 check/assertion failure, 2 usage error, 3 I/O error,
+141 (128 + SIGPIPE) when the reader of stdout closed it early, as in
+``privsplit check | head -1``; that exit prints nothing.
 """
 
 from __future__ import annotations
@@ -668,6 +670,13 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # Python's "Note on SIGPIPE": point stdout at devnull, so that the
+        # flush at interpreter exit does not raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -119,7 +119,10 @@ def gen_toy_clusters(spec: ClusterSpec) -> LabeledDataset:
 
 def pixels_to_features(pixels: np.ndarray) -> np.ndarray:
     """Map 8-bit pixels to [-1, 1]: 0 -> -1 and 255 -> +1."""
-    return np.asarray(pixels, dtype=np.float64) / 127.5 - 1.0
+    features = np.array(pixels, dtype=np.float64)  # a fresh copy, scaled in place
+    features /= 127.5
+    features -= 1.0
+    return features
 
 
 def features_to_pixels(features: np.ndarray) -> np.ndarray:
@@ -174,7 +177,7 @@ def make_tiny_image_dataset(source_dir=None, size: int = 32, class_count: int = 
     if len(images) < 20 * class_count:
         raise ValueError("need at least 20 samples per class")
     labels_arr = np.asarray(labels)
-    features = np.stack([pixels_to_features(img.pixels).reshape(-1) for img in images])
+    features = pixels_to_features(np.stack([img.pixels.reshape(-1) for img in images]))
     train_idx, heldout_idx = _split_indices(len(images), rng)
     return LabeledDataset(
         features=features,

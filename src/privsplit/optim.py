@@ -8,8 +8,9 @@ from .autodiff import Tensor
 
 
 # Elements per block of the in-place update: 256 KB per float64 vector, so the
-# block's slices of the parameters, gradients, m, v and the scratch buffer stay
-# in cache across the update's passes.
+# block's slices of the parameters, the gradient buffer (the parameters' .grad
+# itself), m, v and the two scratch blocks (m-hat and v-hat) stay in cache
+# across the update's passes.
 _BLOCK = 1 << 15
 
 
@@ -17,20 +18,25 @@ class Adam:
     """Adam over a list of parameter tensors, updated in place.
 
     At construction each tensor's ``data`` becomes a view into one flat
-    buffer, and the moments are one flat ``m`` and ``v``. A step gathers the
-    gradients (None counts as zero) into one flat vector, then walks the
-    buffer in blocks of ``_BLOCK`` elements. On each block it runs the
-    bias-corrected Adam update (Kingma & Ba, arXiv 1412.6980, Algorithm 1) in
-    the textbook order of its operations, every pass in place or into one
-    block-sized scratch buffer, so a block is read from memory once rather
-    than once per pass. Every operation is elementwise, so the parameters
-    equal a per-tensor update bitwise (``tests/test_optim.py`` keeps that
-    reference).
+    buffer, and the moments are one flat ``m`` and ``v``. The optimizer owns
+    the gradients too: each tensor's ``grad_buffer`` becomes a view into one
+    flat gradient buffer, which :func:`~privsplit.autodiff.backward` fills in
+    place, so after a backward pass each ``grad`` *is* a view of that buffer
+    and a step reads it without a copy. Only a ``grad`` set some other way
+    is gathered into the buffer first (None counts as zero).
 
-    The buffer, the moments, the gathered gradient and the scratch block
-    take the parameters' dtype (float64 or float32), so a float32 model is
-    updated in float32 arithmetic; parameters of mixed dtypes raise
-    ValueError.
+    A step then walks the buffer in blocks of ``_BLOCK`` elements. On each
+    block it runs the bias-corrected Adam update (Kingma & Ba, arXiv
+    1412.6980, Algorithm 1) in the textbook order of its operations, every
+    pass in place or into one of two block-sized scratch buffers (m-hat and
+    v-hat), so a block is read from memory once rather than once per pass
+    and the gradients are left as they were. Every operation is
+    elementwise, so the parameters equal a per-tensor update bitwise
+    (``tests/test_optim.py`` keeps that reference).
+
+    The buffers, the moments and the scratch blocks take the parameters'
+    dtype (float64 or float32), so a float32 model is updated in float32
+    arithmetic; parameters of mixed dtypes raise ValueError.
     """
 
     def __init__(self, params: list[Tensor], alpha: float = 1e-3, beta1: float = 0.9,
@@ -50,13 +56,17 @@ class Adam:
             p.data = self._flat[part].reshape(p.data.shape)
         self.m = np.zeros_like(self._flat)
         self.v = np.zeros_like(self._flat)
-        self._grad = np.empty_like(self._flat)
+        self._grad = np.zeros_like(self._flat)
+        for p, part in zip(self.params, self._slices):
+            p.grad_buffer = self._grad[part].reshape(p.data.shape)
         self._tmp = np.empty(min(_BLOCK, self._flat.size), dtype=dtype)
+        self._vhat = np.empty_like(self._tmp)
 
     def step(self) -> None:
         g = self._grad
         for p, part in zip(self.params, self._slices):
-            g[part] = 0.0 if p.grad is None else p.grad.reshape(-1)
+            if p.grad is not p.grad_buffer:
+                g[part] = 0.0 if p.grad is None else p.grad.reshape(-1)
         self.step_count += 1
         t = self.step_count
         for start in range(0, self._flat.size, _BLOCK):
@@ -66,6 +76,7 @@ class Adam:
     def _update_block(self, params: np.ndarray, g: np.ndarray, m: np.ndarray,
                       v: np.ndarray, t: int) -> None:
         tmp = self._tmp[:params.size]
+        v_hat = self._vhat[:params.size]
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=tmp)
         m += tmp
@@ -74,9 +85,9 @@ class Adam:
         tmp *= g
         v += tmp
         np.divide(m, 1.0 - self.beta1 ** t, out=tmp)  # m_hat
-        np.divide(v, 1.0 - self.beta2 ** t, out=g)  # v_hat; the gradients are spent
-        np.sqrt(g, out=g)
-        g += self.epsilon
+        np.divide(v, 1.0 - self.beta2 ** t, out=v_hat)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.epsilon
         tmp *= self.alpha
-        tmp /= g
+        tmp /= v_hat
         params -= tmp

@@ -220,11 +220,12 @@ def train(dataset, config: TrainConfig,
         phi = lambda t: perceptual_features(t, bundle)
     recon_phi = phi if config.use_perceptual else None
 
-    n = features.shape[0]
-    for i in range(config.iterations):
-        idx = batch_rng.integers(0, n, size=config.batch_size)
-        x = Tensor(features[idx])
+    def step(i: int, x: Tensor) -> tuple[float | None, float | None, float, float, float]:
+        """One iteration's forward, backward and updates; returns the loss values.
 
+        The step's graph lives only in this call, so it is freed before the
+        next iteration's forward pass allocates its own.
+        """
         try:
             split = encode(x, bundle)
             x_r = decode(merge(split.public_part, split.privacy_part, bundle), bundle)
@@ -266,8 +267,12 @@ def train(dataset, config: TrainConfig,
         if opt_d is not None:
             opt_d.step()
         opt_g.step()
+        return l_d_val, l_ad_val, mse_val, perc_val, total_val
 
-        history.append(i, l_d_val, l_ad_val, mse_val, perc_val, total_val)
+    n = features.shape[0]
+    for i in range(config.iterations):
+        idx = batch_rng.integers(0, n, size=config.batch_size)
+        history.append(i, *step(i, Tensor(features[idx])))
         snapshot(i + 1)
 
     return bundle, history

@@ -248,6 +248,41 @@ class TestBackward:
         assert x.grad[0] == 4.0
 
 
+class TestGradientOwnership:
+    def test_interior_grads_are_freed_root_and_leaves_keep_theirs(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((4, 3)))
+        w, b = rand_tensor(rng, (3, 2)), rand_tensor(rng, (2,))
+        loss = tmean(square(dense(x, w, b, "tanh") - Tensor(np.ones((4, 2)))))
+        graph = Graph(loss)
+        backward(loss, graph)
+        interior = [n for n in graph.nodes if n._parents and n is not loss]
+        assert len(interior) == 3
+        assert all(n.grad is None for n in interior)
+        assert loss.grad is not None
+        assert w.grad is not None and b.grad is not None
+
+    @pytest.mark.parametrize("layer", [
+        lambda x, w, b: dense(x, w, b, "tanh"),
+        lambda x, w, b: tanh(add(matmul(x, w), b)),
+    ], ids=["dense", "chain"])
+    def test_grad_buffer_receives_the_gradient_bitwise(self, layer):
+        rng = np.random.default_rng(9)
+        x0, w0, b0 = (rng.standard_normal(s) for s in ((5, 4), (4, 4), (4,)))
+
+        def run(buffered):
+            w, b = Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+            if buffered:  # NaN, so a first gradient that added rather than stored would show
+                w.grad_buffer, b.grad_buffer = np.full_like(w0, np.nan), np.full_like(b0, np.nan)
+            # two uses of each: the second gradient adds in place
+            backward(tsum(layer(layer(Tensor(x0), w, b), w, b)))
+            return w, b
+
+        for fresh, owned in zip(run(False), run(True)):
+            assert owned.grad is owned.grad_buffer
+            assert np.array_equal(owned.grad, fresh.grad)
+
+
 class TestGraph:
     def test_topological_order(self):
         x = Tensor([1.0], requires_grad=True)

@@ -1,6 +1,7 @@
 import csv
 import errno
 import hashlib
+import os
 import struct
 import tempfile
 import zipfile
@@ -251,6 +252,44 @@ def test_report_without_run_artifacts_exits_3(tmp_path, capsys, make_dir):
         run.mkdir()
     assert cli.main(["report", "--run", str(run)]) == 3
     assert capsys.readouterr().err.strip() == f"error: no run artifacts found in {run}"
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_stdout_closed_early_exits_141_quietly_with_stdout_on_devnull(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "history.csv").write_text("iteration,l_D\n0,1.0\n", encoding="ascii")
+    with open(tmp_path / "stdout", "wb") as stdout:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(stdout.fileno()))
+        assert cli.main(["report", "--run", str(tmp_path)]) == 141
+        assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
+def test_other_write_errors_still_exit_3(tmp_path, monkeypatch, capsys):
+    (tmp_path / "history.csv").write_text("iteration,l_D\n0,1.0\n", encoding="ascii")
+
+    class FullDisk(ClosedPipe):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("sys.stdout", FullDisk(-1))
+    assert cli.main(["report", "--run", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("i/o error: [Errno 28]")
 
 
 def test_sweep_proportion_on_toy_data_writes_one_row_per_proportion(tmp_path):

@@ -3,7 +3,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from privsplit.autodiff import Tensor, backward, square, tsum
+from privsplit.autodiff import Tensor, backward, dense, square, tsum
 from privsplit.optim import Adam
 
 
@@ -131,6 +131,50 @@ class TestAdamWrapper:
                   Tensor(np.ones(2), requires_grad=True)]
         with pytest.raises(ValueError, match="one dtype"):
             Adam(params)
+
+
+def dense_layer(seed=5):
+    """A weight, a bias, and a loss closure over one dense layer of them."""
+    rng = np.random.default_rng(seed)
+    w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    x = Tensor(rng.standard_normal((6, 4)))
+    return w, b, lambda: tsum(square(dense(x, w, b, "tanh")))
+
+
+class TestGradientOwnership:
+    def test_backward_writes_into_the_optimizer_buffer(self):
+        w, b, loss = dense_layer()
+        opt = Adam([w, b])
+        backward(loss())
+        for p in (w, b):
+            assert p.grad is p.grad_buffer
+            assert np.shares_memory(p.grad, opt._grad)
+
+    def test_step_keeps_the_gradient_it_used(self):
+        w, b, loss = dense_layer()
+        ref_params = np.concatenate([w.data.reshape(-1), b.data])
+        opt = Adam([w, b], alpha=0.01)
+        backward(loss())
+        used = [w.grad.copy(), b.grad.copy()]
+        flat_grad = np.concatenate([g.reshape(-1) for g in used])
+        ref_params, _ = adam_step(ref_params, flat_grad, AdamState.init(flat_grad.size, alpha=0.01))
+        opt.step()
+        assert np.array_equal(w.grad, used[0]) and np.array_equal(b.grad, used[1])
+        assert np.array_equal(opt._flat, ref_params)
+
+    def test_hand_set_grads_replace_the_buffered_ones(self):
+        w, b, loss = dense_layer()
+        ref_w, ref_b = w.data.reshape(-1).copy(), b.data.copy()
+        opt = Adam([w, b], alpha=0.01)
+        backward(loss())  # leaves non-zero gradients in the buffer
+        w.grad = None
+        b.grad = np.array([1.0, -2.0, 0.5])
+        opt.step()
+        ref_w, _ = adam_step(ref_w, np.zeros(w.data.size), AdamState.init(w.data.size, alpha=0.01))
+        ref_b, _ = adam_step(ref_b, b.grad, AdamState.init(3, alpha=0.01))
+        assert np.array_equal(w.data.reshape(-1), ref_w)
+        assert np.array_equal(b.data, ref_b)
 
 
 def assert_flat_adam_matches_adam_step(shapes, dtype=np.float64):
