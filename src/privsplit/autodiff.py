@@ -17,9 +17,9 @@ Who owns a gradient: :func:`backward` drops an interior node's ``grad``
 root and the leaves hold a gradient afterwards. A leaf's first gradient of a
 pass is a fresh array, unless the leaf has a ``grad_buffer``: an optimizer
 hands each parameter it trains a view into its own flat gradient buffer,
-and the first contribution is written straight into that view (a weight's
-product by ``np.matmul(..., out=)``, a bias's column sum by
-``np.sum(..., out=)``), later ones added in place. The parameter's ``grad``
+and the first contribution is written straight into that view (by
+``np.matmul(..., out=)`` and ``np.sum(..., out=)`` in :func:`dense`, by a
+copy elsewhere), later ones added in place. The parameter's ``grad``
 is then that very view, so the optimizer reads it without a copy.
 
 Dtypes follow the data. A float32 array stays float32: every op on float32
@@ -310,9 +310,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backprop(out_grad):
         if a.requires_grad:
-            _accumulate_result(a, np.matmul, out_grad, b.data.T)
+            _accumulate(a, out_grad @ b.data.T, owned=True)
         if b.requires_grad:
-            _accumulate_result(b, np.matmul, a.data.T, out_grad)
+            _accumulate(b, a.data.T @ out_grad, owned=True)
 
     return _op(out_data, (a, b), backprop)
 
@@ -426,7 +426,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
     def backprop(out_grad):
         g = out_grad if grad_of is None else grad_of(y, out_grad)
         if x.requires_grad:
-            _accumulate_result(x, np.matmul, g, w.data.T)
+            _accumulate(x, g @ w.data.T, owned=True)
         if w.requires_grad:
             _accumulate_result(w, np.matmul, x.data.T, g)
         if b.requires_grad:
@@ -516,7 +516,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     def backprop(out_grad):
         if a.requires_grad:
             if a.grad is None:
-                _accumulate(a, np.zeros((), a.data.dtype))
+                a.grad = np.zeros_like(a.data)
             a.grad[:, start:stop] += out_grad
 
     return _op(a.data[:, start:stop].copy(), (a,), backprop)
