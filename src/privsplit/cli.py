@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, grad_check
+from .autodiff import Tensor, backward, grad_check, sigmoid, tsum
 from .datasets import (
     ClusterSpec,
     LabeledDataset,
@@ -64,25 +64,24 @@ from .models import (
     ModelConfig,
     NoiseSpec,
     build_models,
-    discriminate,
     encrypt,
-    perceptual_features,
     reconstruct,
 )
 from .obfuscation import gaussian_blur, gaussian_blur_stack, pixelate, pixelate_stack
 from .objectives import (
     LOG4,
     DiscreteDistributionPair,
+    bce,
     collaborative_loss_at_optimum,
-    generator_adversarial_loss,
     jsd,
-    reconstruction_loss,
 )
-from .p3 import p3_encode, p3_public_stack, serialize_secret
+from .optim import Adam
+from .p3 import p3_encode, p3_public_stack, secret_proportion, serialize_secret
 from .training import (
     TrainConfig,
     TrainingDivergedError,
     load_checkpoint,
+    objective,
     save_checkpoint,
     train,
     write_history_csv,
@@ -172,19 +171,28 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _seed(raw) -> int:
+    seed = int(raw)
+    if seed < 0:
+        raise ValueError(f"a seed must be non-negative, got {seed}")
+    return seed
+
+
 def resolve_seed(flag_seed, config: dict) -> int:
     if flag_seed is not None:
-        return int(flag_seed)
+        if flag_seed < 0:
+            raise usage_error(f"--seed must be non-negative, got {flag_seed}")
+        return flag_seed
     for section in ("train", "data"):
-        value = _get(config, section, "seed", None, int)
+        value = _get(config, section, "seed", None, _seed)
         if value is not None:
             return value
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
-            return int(env)
+            return _seed(env)
         except ValueError as exc:
-            raise usage_error(f"{SEED_ENV} must be an integer, got {env!r}") from exc
+            raise usage_error(f"{SEED_ENV} must be a non-negative integer, got {env!r}") from exc
     return 0
 
 
@@ -246,7 +254,8 @@ def cmd_check(seed: int = 0, out=None) -> int:
         if not ok:
             failures += 1
 
-    # 1. full-loss gradients vs central differences on small random networks
+    # 1. `full` training-objective gradients vs central differences on small networks
+    loss_cfg = TrainConfig(use_perceptual=True)
     worst = 0.0
     rng = np.random.default_rng(seed)
     for trial in range(5):
@@ -256,17 +265,8 @@ def cmd_check(seed: int = 0, out=None) -> int:
         bundle = build_models(cfg)
         x = Tensor(rng.standard_normal((3, 2)))
         noise = NoiseSpec(std=1.0, seed=int(rng.integers(2**31)))
-
-        def full_loss():
-            x_r = reconstruct(x, bundle)
-            x_e = encrypt(x, bundle, noise)
-            l_ad = generator_adversarial_loss(
-                discriminate(x_r, bundle), discriminate(x_e, bundle))
-            _, _, recon = reconstruction_loss(
-                x_r, x, phi=lambda t: perceptual_features(t, bundle), lam=0.01)
-            return l_ad + recon
-
-        worst = max(worst, grad_check(full_loss, bundle.all_parameters(), eps=1e-5))
+        worst = max(worst, grad_check(lambda: objective(x, bundle, loss_cfg, noise)[0],
+                                      bundle.all_parameters(), eps=1e-5))
     report("gradient-check", worst < 1e-4, f"max relative error {worst:.3e}")
 
     # 2. shared objective at the optimal discriminator == ln4 - 2*JSD
@@ -290,10 +290,6 @@ def cmd_check(seed: int = 0, out=None) -> int:
 
 def _optimal_discriminator_recovery_gap(seed: int, support: int = 8,
                                         samples: int = 100_000) -> float:
-    from .autodiff import backward, sigmoid, tsum
-    from .objectives import bce
-    from .optim import Adam
-
     rng = np.random.default_rng(seed)
     p_r = rng.random(support) + 0.05
     p_r /= p_r.sum()
@@ -524,8 +520,6 @@ def build_methods(config: dict, dataset: LabeledDataset, noise_std: float) -> li
 
 def _mean_secret_proportion(dataset: LabeledDataset, threshold: int,
                             sample_count: int = 10) -> float:
-    from .p3 import secret_proportion
-
     images = dataset.images[:sample_count] if dataset.images else []
     if not images:
         return math.nan
@@ -546,14 +540,18 @@ def cmd_attack(config: dict, outdir: Path, seed: int) -> int:
     return 0
 
 
+def _fractions(raw: str) -> list[Fraction]:
+    return [Fraction(p.strip()) for p in raw.split(",") if p.strip()]
+
+
 def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
     dataset = dataset_from(config, seed)
-    raw = config.get("sweep", {}).get("proportions", "1/64,1/32,1/16,1/8,1/4,1/2")
+    proportions = _get(config, "sweep", "proportions",
+                       _fractions("1/64,1/32,1/16,1/8,1/4,1/2"), _fractions)
     base = _from_section(TrainConfig, config, "train", seed=seed, input_width=dataset.width,
                          use_perceptual=dataset.meta.get("kind") == "tiny-images")
     # every proportion is checked before the first run trains or writes a file
-    sweep = [replace(base, privacy_proportion=Fraction(p.strip()))
-             for p in raw.split(",") if p.strip()]
+    sweep = [replace(base, privacy_proportion=p) for p in proportions]
     acfg = attack_config_from(config, seed)
     write_run_files(outdir, "sweep-proportion", config, seed)
     peak = float(dataset.features.max() - dataset.features.min())

@@ -69,6 +69,8 @@ class AttackConfig:
                 raise ValueError(f"attack {name} must be at least 1, got {value}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"attack alpha must be finite and positive, got {self.alpha}")
+        if self.seed < 0:
+            raise ValueError(f"attack seed must be non-negative, got {self.seed}")
 
 
 def _train_classifier(features, labels, out_width, config: AttackConfig):

@@ -5,8 +5,9 @@ encrypted outputs once, and backpropagates the shared objective once: the
 adversarial term is literally the same formula for the discriminator and
 the encryption model, and the reconstruction terms have no discriminator
 path, so a single backward pass at the iteration-start parameters yields
-both networks' exact gradients. The Adam updates are then applied in
-discriminator-then-generator order.
+both networks' exact gradients, and ``privsplit check`` verifies them
+(:func:`objective`). One Adam step then updates every trained network: Adam is
+elementwise, so one optimizer over the union equals one per network bitwise.
 
 Checkpoint format, version 2: an uncompressed numpy ``.npz`` archive, read
 with ``allow_pickle=False``, written to exactly the path it is given.
@@ -118,6 +119,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         self.privacy_proportion = Fraction(self.privacy_proportion)
@@ -178,6 +181,29 @@ def _check_finite(iteration: int, **terms: float) -> None:
                 f"loss term {name} is non-finite at iteration {iteration}")
 
 
+def objective(x: Tensor, bundle: ModelBundle, config: TrainConfig,
+              noise: NoiseSpec | None) -> tuple[Tensor, Tensor, Tensor, Tensor | None]:
+    """(total, recon MSE, perceptual term, L_ad or None) of `config.ablation` on batch `x`.
+
+    Reads only `ablation`, `lam` and `use_perceptual` of `config`. `noise` makes
+    x_e, which ``no_collaborative`` never reads or decodes; it takes None.
+    """
+    phi = lambda t: perceptual_features(t, bundle)
+    split = encode(x, bundle)
+    x_r = decode(merge(split.public_part, split.privacy_part, bundle), bundle)
+    if config.ablation != "no_collaborative":
+        x_e = decode(merge(split.public_part,
+                           fake_privacy(split.privacy_part, noise), bundle), bundle)
+    recon_mse, perceptual, recon_combined = reconstruction_loss(
+        x_r, x, phi if config.use_perceptual else None, config.lam)
+    if config.ablation == "full":
+        l_ad = generator_adversarial_loss(discriminate(x_r, bundle), discriminate(x_e, bundle))
+        return l_ad + recon_combined, recon_mse, perceptual, l_ad
+    if config.ablation == "no_collaborative":
+        return recon_combined, recon_mse, perceptual, None
+    return msednet_loss(recon_combined, x, x_e, phi), recon_mse, perceptual, None
+
+
 def train(dataset, config: TrainConfig,
           snapshot_iters: Iterable[int] = (),
           snapshot_fn: Callable[[int, ModelBundle], None] | None = None,
@@ -209,65 +235,37 @@ def train(dataset, config: TrainConfig,
     if config.iterations == 0:
         return bundle, history
 
-    moments = dict(beta1=config.beta1, beta2=config.beta2, epsilon=config.epsilon)
-    opt_g = Adam(bundle.generator_parameters(), alpha=config.alpha, **moments)
-    opt_d = None
-    if config.ablation == "full":
-        opt_d = Adam(bundle.discriminator_parameters(), alpha=config.alpha, **moments)
-
-    phi = None
-    if config.use_perceptual or config.ablation == "msednet":
-        phi = lambda t: perceptual_features(t, bundle)
-    recon_phi = phi if config.use_perceptual else None
+    full = config.ablation == "full"  # only full trains the discriminator
+    opt = Adam(bundle.all_parameters() if full else bundle.generator_parameters(),
+               alpha=config.alpha, beta1=config.beta1, beta2=config.beta2,
+               epsilon=config.epsilon)
 
     def step(i: int, x: Tensor) -> tuple[float | None, float | None, float, float, float]:
-        """One iteration's forward, backward and updates; returns the loss values.
+        """One iteration's forward, backward and update; returns the loss values.
 
         The step's graph lives only in this call, so it is freed before the
         next iteration's forward pass allocates its own.
         """
+        noise = None
+        if config.ablation != "no_collaborative":  # its loss never reads x_e
+            noise = NoiseSpec(std=config.noise_std,
+                              seed=int(noise_rng.integers(np.iinfo(np.int64).max)))
         try:
-            split = encode(x, bundle)
-            x_r = decode(merge(split.public_part, split.privacy_part, bundle), bundle)
-            if config.ablation != "no_collaborative":  # its loss never reads x_e
-                noise = NoiseSpec(std=config.noise_std,
-                                  seed=int(noise_rng.integers(np.iinfo(np.int64).max)))
-                x_e = decode(merge(split.public_part,
-                                   fake_privacy(split.privacy_part, noise), bundle), bundle)
-
-            recon_mse, perceptual, recon_combined = reconstruction_loss(
-                x_r, x, recon_phi, config.lam)
-
-            if config.ablation == "full":
-                d_r = discriminate(x_r, bundle)
-                d_e = discriminate(x_e, bundle)
-                l_ad = generator_adversarial_loss(d_r, d_e)
-                total = l_ad + recon_combined
-                l_ad_val = l_ad.item()
-                l_d_val = l_ad_val  # one shared objective
-            elif config.ablation == "no_collaborative":
-                total = recon_combined
-                l_ad_val = None
-                l_d_val = None
-            else:  # msednet
-                total = msednet_loss(recon_combined, x, x_e, phi)
-                l_ad_val = None
-                l_d_val = None
+            total, recon_mse, perceptual, l_ad = objective(x, bundle, config, noise)
         except NonFiniteError as exc:
             raise TrainingDivergedError(
                 f"non-finite values in forward pass at iteration {i}: {exc}") from exc
 
+        l_ad_val = None if l_ad is None else l_ad.item()  # also L_D: one shared objective
         total_val = total.item()
         mse_val = recon_mse.item()
         perc_val = perceptual.item()
-        _check_finite(i, l_d=l_d_val, l_g_ad=l_ad_val, l_recon_mse=mse_val,
+        _check_finite(i, l_d=l_ad_val, l_g_ad=l_ad_val, l_recon_mse=mse_val,
                       l_perceptual=perc_val, l_g_total=total_val)
 
         backward(total)
-        if opt_d is not None:
-            opt_d.step()
-        opt_g.step()
-        return l_d_val, l_ad_val, mse_val, perc_val, total_val
+        opt.step()
+        return l_ad_val, l_ad_val, mse_val, perc_val, total_val
 
     n = features.shape[0]
     for i in range(config.iterations):

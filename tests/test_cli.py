@@ -204,13 +204,30 @@ def test_attack_p3_threshold_beyond_u16_exits_1_and_writes_nothing(tmp_path, cap
 
 
 @pytest.mark.parametrize("section", ["train", "data"])
-@pytest.mark.parametrize("value", ["abc", "1.5"])
+@pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
 def test_bad_seed_in_config_exits_2(tmp_path, capsys, section, value):
     config = tmp_path / "run.ini"
     config.write_text(f"[{section}]\nseed = {value}\n")
     assert cli.main(["train-toy", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: bad value for {section}.seed: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag, env, message", [
+    (["--seed", "-1"], None, "error: --seed must be non-negative, got -1"),
+    ([], "-1", f"error: {cli.SEED_ENV} must be a non-negative integer, got '-1'"),
+    ([], "abc", f"error: {cli.SEED_ENV} must be a non-negative integer, got 'abc'"),
+], ids=["flag", "env", "env-not-an-integer"])
+def test_negative_run_seed_exits_2_naming_its_source(tmp_path, monkeypatch, capsys, flag, env,
+                                                     message):
+    if env is None:
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.SEED_ENV, env)
+    assert cli.main([*flag, "train-toy", "--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == message and captured.out == ""
     assert not (tmp_path / "run").exists()
 
 
@@ -314,16 +331,24 @@ def run_with_config(tmp_path, text, command="train-toy"):
     return cli.main([command, "--config", str(config), "--out", str(tmp_path / "run")])
 
 
-@pytest.mark.parametrize("text, message", [
-    ("[train]\nalpha = 5%\n", "error: bad value for train.alpha: '5%'"),
-    (b"[train]\niterations = \xff\n", "error: cannot parse config "),
-    ("[DEFAULT]\niterationz = 1\n", "error: config keys must sit in a named section"),
-    ("[sweep]\niterations = 3\n", "error: unknown key 'iterations' in section [sweep]"),
-], ids=["percent", "not-utf8", "default-section", "sweep-iterations"])
-def test_bad_config_exits_2_with_one_line(tmp_path, capsys, text, message):
-    assert run_with_config(tmp_path, text) == 2
-    err = capsys.readouterr().err.strip().splitlines()
+@pytest.mark.parametrize("command, text, message", [
+    ("train-toy", "[train]\nalpha = 5%\n", "error: bad value for train.alpha: '5%'"),
+    ("train-toy", b"[train]\niterations = \xff\n", "error: cannot parse config "),
+    ("train-toy", "[DEFAULT]\niterationz = 1\n", "error: config keys must sit in a named section"),
+    ("train-toy", "[sweep]\niterations = 3\n",
+     "error: unknown key 'iterations' in section [sweep]"),
+    ("sweep-proportion", "[sweep]\nproportions = 1/64, 1/0\n",
+     "error: bad value for sweep.proportions: '1/64, 1/0'"),
+    ("sweep-proportion", "[sweep]\nproportions = abc\n",
+     "error: bad value for sweep.proportions: 'abc'"),
+], ids=["percent", "not-utf8", "default-section", "sweep-iterations", "sweep-zero-denominator",
+        "sweep-not-a-fraction"])
+def test_bad_config_exits_2_with_one_line(tmp_path, capsys, command, text, message):
+    assert run_with_config(tmp_path, text, command) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(message)
+    assert captured.out == ""
     assert not (tmp_path / "run").exists()
 
 
@@ -333,7 +358,9 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, text, message):
     ("train-toy", "[attack]\nalpha = nan\n", "error: attack alpha must be finite and positive"),
     ("train-toy", "[train]\nbeta1 = 1.8\n", "error: beta1 must be in [0, 1)"),
     ("train-toy", "[train]\nnoise_std = -1\n", "error: noise_std must be finite and non-negative"),
-], ids=["attack-batch-size", "sweep-attack-iterations", "attack-alpha", "beta1", "noise-std"])
+    ("train-toy", "[attack]\nseed = -1\n", "error: attack seed must be non-negative"),
+], ids=["attack-batch-size", "sweep-attack-iterations", "attack-alpha", "beta1", "noise-std",
+        "attack-seed"])
 def test_invalid_run_config_exits_1_before_writing_anything(tmp_path, capsys, command, text,
                                                             message):
     assert run_with_config(tmp_path, text, command) == 1

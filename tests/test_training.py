@@ -16,10 +16,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privsplit import training
-from privsplit.autodiff import Tensor
+from privsplit.autodiff import Tensor, grad_check
 from privsplit.datasets import ClusterSpec, gen_toy_clusters, make_tiny_image_dataset
 from privsplit.evaluation import AttackConfig, attack_train_eval, separability
-from privsplit.models import NoiseSpec, decode, encrypt, perceptual_features, reconstruct
+from privsplit.models import (
+    ModelConfig,
+    NoiseSpec,
+    build_models,
+    decode,
+    encrypt,
+    perceptual_features,
+    reconstruct,
+)
 from privsplit.objectives import msednet_loss, reconstruction_loss
 from privsplit.training import (
     CheckpointVersionError,
@@ -45,6 +53,20 @@ def quick_config(**overrides):
                 privacy_proportion=Fraction(1, 16), input_width=2)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+@pytest.fixture
+def recorded_optimizers(monkeypatch):
+    """Every Adam that `training` constructs while the test runs."""
+    optimizers = []
+
+    class RecordingAdam(training.Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(training, "Adam", RecordingAdam)
+    return optimizers
 
 
 class TestTrainBasics:
@@ -84,36 +106,24 @@ class TestTrainBasics:
         assert history.l_d == history.l_g_ad
         assert all(v is not None for v in history.l_d)
 
-    def test_each_optimizer_steps_once_per_iteration(self, monkeypatch):
-        # both gradients come from one backward pass over disjoint parameter
-        # sets, so the order of the two steps cannot be observed; their count can
-        optimizers = []
+    @pytest.mark.parametrize("ablation", ["full", "no_collaborative", "msednet"])
+    def test_one_optimizer_steps_once_per_iteration(self, recorded_optimizers, ablation):
+        # Adam is elementwise, so one optimizer over the encoder, decoder and
+        # discriminator equals one per network bitwise (TestBitwisePins holds)
+        bundle, _ = train(small_blobs(), quick_config(ablation=ablation, iterations=5))
+        (opt,) = recorded_optimizers
+        assert opt.step_count == 5
+        trained = (bundle.all_parameters() if ablation == "full"
+                   else bundle.generator_parameters())  # only full trains D
+        assert [id(p) for p in opt.params] == [id(p) for p in trained]
 
-        class CountingAdam(training.Adam):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                optimizers.append(self)
-
-        monkeypatch.setattr(training, "Adam", CountingAdam)
-        bundle, _ = train(small_blobs(), quick_config(iterations=5))
-        assert [opt.step_count for opt in optimizers] == [5, 5]
-        assert {id(p) for opt in optimizers for p in opt.params} == {
-            id(p) for p in bundle.all_parameters()}
-
-    def test_trained_gradients_live_in_their_optimizers_buffer(self, monkeypatch):
-        optimizers = []
-
-        class RecordingAdam(training.Adam):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                optimizers.append(self)
-
-        monkeypatch.setattr(training, "Adam", RecordingAdam)
-        train(small_blobs(), quick_config(iterations=2))
-        assert len(optimizers) == 2
-        for opt in optimizers:
-            assert all(p.grad is p.grad_buffer and np.shares_memory(p.grad, opt._grad)
-                       for p in opt.params)
+    @pytest.mark.parametrize("ablation", ["full", "no_collaborative", "msednet"])
+    def test_trained_gradients_live_in_the_optimizers_buffer(self, recorded_optimizers,
+                                                               ablation):
+        train(small_blobs(), quick_config(ablation=ablation, iterations=2))
+        (opt,) = recorded_optimizers
+        assert all(p.grad is p.grad_buffer and np.shares_memory(p.grad, opt._grad)
+                   for p in opt.params)
 
     def test_perceptual_params_never_change(self):
         data = small_blobs()
@@ -267,6 +277,20 @@ class TestAblations:
         assert h1.l_g_total == h2.l_g_total
 
 
+@pytest.mark.parametrize("ablation", ["full", "no_collaborative", "msednet"])
+def test_objective_gradients_match_central_differences(ablation):
+    # the bundle `privsplit check` uses, which checks `full` alone
+    rng = np.random.default_rng(11)
+    bundle = build_models(ModelConfig(input_width=2, feature_width=8, privacy_width=2,
+                                      disc_hidden=6, perceptual_width=6, seed=12))
+    x = Tensor(rng.standard_normal((3, 2)))
+    config = TrainConfig(use_perceptual=True, ablation=ablation)
+    noise = None if ablation == "no_collaborative" else NoiseSpec(std=1.0, seed=13)
+    err = grad_check(lambda: training.objective(x, bundle, config, noise)[0],
+                     bundle.all_parameters(), eps=1e-5)
+    assert err < 1e-4
+
+
 def run_digest(bundle, history) -> str:
     """sha256 of a run's history (as JSON, so floats by their exact repr) and final parameters."""
     digest = hashlib.sha256(json.dumps(asdict(history)).encode())
@@ -319,6 +343,10 @@ class TestTrainConfigValidation:
     def test_bad_optimizer_and_noise_settings(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(iterations=1, **{name: value})
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            TrainConfig(iterations=1, seed=-1)
 
     def test_edge_optimizer_and_noise_settings_are_accepted(self):
         TrainConfig(iterations=1, beta1=0.0, beta2=0.0, noise_std=0.0)
