@@ -20,7 +20,10 @@ hands each parameter it trains a view into its own flat gradient buffer,
 and the first contribution is written straight into that view (by
 ``np.matmul(..., out=)`` and ``np.sum(..., out=)`` in :func:`dense`, by a
 copy elsewhere), later ones added in place. The parameter's ``grad``
-is then that very view, so the optimizer reads it without a copy.
+is then that very view, so the optimizer reads it without a copy. The
+optimizer owns gradients until ``release()``: that sets every trained
+tensor's ``grad`` and ``grad_buffer`` to None, so trained weights do not
+keep the flat gradient buffer alive once the optimizer is gone.
 
 Dtypes follow the data. A float32 array stays float32: every op on float32
 operands yields a float32 output, :func:`backward` seeds a float32 loss
@@ -456,14 +459,6 @@ def log(a: Tensor) -> Tensor:
     return _op(np.log(a.data), (a,), backprop)
 
 
-def square(a: Tensor) -> Tensor:
-    def backprop(out_grad):
-        if a.requires_grad:
-            _accumulate(a, _const(2.0, a.data) * a.data * out_grad, owned=True)
-
-    return _op(a.data * a.data, (a,), backprop)
-
-
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip values into [lo, hi]; gradient passes through the interior only."""
     mask = (a.data >= lo) & (a.data <= hi)
@@ -491,6 +486,34 @@ def tmean(a: Tensor) -> Tensor:
             _accumulate(a, out_grad.reshape(()) / _const(n, out_grad))
 
     return _op(np.asarray(a.data.mean()), (a,), backprop)
+
+
+def mse(a: Tensor, b: Tensor) -> Tensor:
+    """Mean squared difference of `a` and `b` (equal shapes) as one graph node.
+
+    Output and gradients equal ``tmean`` of the square of ``a - b`` bitwise:
+    the forward pass makes the same numpy calls, and backward routes
+    ``(2 * d) * (g / n)`` to `a` and its negation to `b`. Neither ``a - b``
+    nor its square is kept; backward recomputes ``d = a - b`` from the
+    operands, which the graph holds anyway (trading a cheap recomputation for
+    stored values, as Chen et al., arXiv 1604.06174, do for activations).
+    """
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"mse shape mismatch: {a.data.shape} vs {b.data.shape}")
+    n = a.data.size
+    sq = np.asarray(a.data - b.data)
+    np.multiply(sq, sq, out=sq)
+
+    def backprop(out_grad):
+        d = np.asarray(a.data - b.data)
+        d *= _const(2.0, d)
+        d *= out_grad.reshape(()) / _const(n, out_grad)
+        if a.requires_grad:
+            _accumulate(a, d, owned=True)
+        if b.requires_grad:
+            _accumulate(b, -d, owned=True)
+
+    return _op(np.asarray(sq.mean()), (a, b), backprop)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:

@@ -12,7 +12,10 @@ The keys of ``[data]``, ``[train]`` and ``[attack]`` are the field names of
 and :class:`~privsplit.evaluation.AttackConfig`, whose defaults are the only
 ones; ``lam`` is spelled ``lambda``, and ``TrainConfig.input_width`` comes
 from the data. The seeds default to the run seed (the attack's to run seed
-+ 1). The keys that are not fields are ``[data]`` ``kind``, ``source_dir``,
++ 1). The run seed is ``--seed``, else ``[train] seed``, else ``[data]
+seed``, else ``$PRIVSPLIT_SEED``, else 0; ``--seed`` replaces both file
+seeds, while an explicit ``[attack] seed`` still sets the attack's. The
+keys that are not fields are ``[data]`` ``kind``, ``source_dir``,
 ``size``, ``class_count`` and ``per_class`` (the tiny-image set);
 ``[attack]`` ``methods``, ``model_checkpoint``, ``msednet_checkpoint``,
 ``pixelate_factor``, ``blur_radius`` and ``p3_threshold``; ``[sweep]``
@@ -178,13 +181,21 @@ def _seed(raw) -> int:
     return seed
 
 
+# the sections whose seed is the run seed, in the order a file's seed is picked
+_RUN_SEED_SECTIONS = ("train", "data")
+
+
 def resolve_seed(flag_seed, config: dict) -> int:
+    """The run seed: --seed, else the file's, else $PRIVSPLIT_SEED, else 0.
+
+    Every seed key of the file is checked first, whichever source wins.
+    """
+    file_seeds = [_get(config, section, "seed", None, _seed) for section in _RUN_SEED_SECTIONS]
     if flag_seed is not None:
         if flag_seed < 0:
             raise usage_error(f"--seed must be non-negative, got {flag_seed}")
         return flag_seed
-    for section in ("train", "data"):
-        value = _get(config, section, "seed", None, _seed)
+    for value in file_seeds:
         if value is not None:
             return value
     env = os.environ.get(SEED_ENV)
@@ -197,6 +208,13 @@ def resolve_seed(flag_seed, config: dict) -> int:
 
 
 _CONVERTERS = {"int": int, "float": float, "bool": _bool, "str": str, "Fraction": Fraction}
+
+
+def _with_run_seed(config: dict, seed: int) -> dict:
+    """`config` with `seed` in place of every run-seed key it has, so --seed wins over the file."""
+    return {section: {**values, "seed": str(seed)}
+            if section in _RUN_SEED_SECTIONS and "seed" in values else values
+            for section, values in config.items()}
 
 
 def _from_section(cls, config: dict, section: str, **defaults):
@@ -649,6 +667,8 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if getattr(args, "config", None) else {}
         seed = resolve_seed(args.seed, config)
+        if args.seed is not None:
+            config = _with_run_seed(config, seed)
         if args.command == "check":
             return cmd_check(seed)
         if args.command == "train-toy":

@@ -31,6 +31,8 @@ class ClusterSpec:
             raise ValueError("cluster std must be positive")
         if self.points_per_cluster < 1:
             raise ValueError("need at least one point per cluster")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

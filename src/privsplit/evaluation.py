@@ -85,6 +85,7 @@ def _train_classifier(features, labels, out_width, config: AttackConfig):
         x = Tensor(features[idx])
         backward(softmax_cross_entropy(_mlp_forward(layers, x), labels[idx]))
         opt.step()
+    opt.release()
     return layers
 
 

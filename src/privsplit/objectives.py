@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import PROB_EPS, Tensor, as_tensor, clamp, log, square, tmean
+from .autodiff import PROB_EPS, Tensor, as_tensor, clamp, log, mse, tmean
 
 LOG4 = math.log(4.0)
 
@@ -70,11 +70,11 @@ def reconstruction_loss(x_r, x, phi: Callable[[Tensor], Tensor] | None = None,
     x = as_tensor(x)
     if x_r.data.shape != x.data.shape:
         raise ValueError(f"reconstruction_loss shape mismatch: {x_r.data.shape} vs {x.data.shape}")
-    recon_mse = tmean(square(x_r - x))
+    recon_mse = mse(x_r, x)
     if phi is None:
         perceptual = Tensor(0.0)
     else:
-        perceptual = tmean(square(phi(x_r) - phi(x)))
+        perceptual = mse(phi(x_r), phi(x))
     combined = recon_mse + (perceptual * Tensor(lam))
     return recon_mse, perceptual, combined
 
@@ -90,7 +90,7 @@ def msednet_loss(recon_combined: Tensor, x, x_e, phi: Callable[[Tensor], Tensor]
     x = as_tensor(x)
     if x_e.data.shape != x.data.shape:
         raise ValueError(f"msednet_loss shape mismatch: {x_e.data.shape} vs {x.data.shape}")
-    return recon_combined - tmean(square(phi(x_e) - phi(x)))
+    return recon_combined - mse(phi(x_e), phi(x))
 
 
 # ---------------------------------------------------------------------------

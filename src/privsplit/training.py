@@ -273,6 +273,7 @@ def train(dataset, config: TrainConfig,
         history.append(i, *step(i, Tensor(features[idx])))
         snapshot(i + 1)
 
+    opt.release()
     return bundle, history
 
 

@@ -17,13 +17,13 @@ from privsplit.autodiff import (
     grad_check,
     log,
     matmul,
+    mse,
     mul,
     neg,
     relu,
     sigmoid,
     slice_cols,
     softmax_cross_entropy,
-    square,
     sub,
     tanh,
     tmean,
@@ -192,7 +192,7 @@ class TestBackward:
         vals = rng.standard_normal((4, 3))
         x = Tensor(vals.copy(), requires_grad=True)
         y = Tensor(vals.copy())
-        backward(tmean(square(x - y)))
+        backward(mse(x, y))
         assert np.array_equal(x.grad, np.zeros((4, 3)))
 
     def test_nonscalar_loss_rejected(self):
@@ -211,7 +211,7 @@ class TestBackward:
         def loss():
             h = tanh(matmul(x, w1) + b1)
             out = matmul(h, w2) + b2
-            return tmean(square(out))
+            return tmean(out * out)
 
         assert grad_check(loss, [w1, b1, w2, b2], eps=1e-5) < 1e-4
 
@@ -221,7 +221,8 @@ class TestBackward:
         w = rand_tensor(rng, (3, 3))
 
         def run():
-            backward(tmean(square(tanh(matmul(x, w)))))
+            h = tanh(matmul(x, w))
+            backward(tmean(h * h))
             return w.grad.copy()
 
         assert np.array_equal(run(), run())
@@ -253,7 +254,8 @@ class TestGradientOwnership:
         rng = np.random.default_rng(8)
         x = Tensor(rng.standard_normal((4, 3)))
         w, b = rand_tensor(rng, (3, 2)), rand_tensor(rng, (2,))
-        loss = tmean(square(dense(x, w, b, "tanh") - Tensor(np.ones((4, 2)))))
+        err = dense(x, w, b, "tanh") - Tensor(np.ones((4, 2)))
+        loss = tmean(err * err)
         graph = Graph(loss)
         backward(loss, graph)
         interior = [n for n in graph.nodes if n._parents and n is not loss]
@@ -283,6 +285,48 @@ class TestGradientOwnership:
             assert np.array_equal(owned.grad, fresh.grad)
 
 
+def mse_reference(a0, b0):
+    """Loss and gradients (of a, of b) of the sub -> square -> tmean chain,
+    op by op as autodiff ran it before `mse` replaced it."""
+    d = a0 - b0
+    loss = np.asarray((d * d).mean())
+    spread = np.broadcast_to(np.ones_like(loss) / loss.dtype.type(d.size), d.shape).copy()
+    grad = d.dtype.type(2.0) * d * spread
+    return loss, grad, -grad
+
+
+class TestMse:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trained", ["a", "b", "both"])
+    def test_equals_the_difference_square_mean_chain_bitwise(self, dtype, trained):
+        rng = np.random.default_rng(21)
+        a0, b0 = (rng.standard_normal((6, 5)).astype(dtype) for _ in range(2))
+        a = Tensor(a0.copy(), requires_grad=trained != "b")
+        b = Tensor(b0.copy(), requires_grad=trained != "a")
+        loss = mse(a, b)
+        backward(loss)
+        ref_loss, ref_a, ref_b = mse_reference(a0, b0)
+        assert loss.data.dtype == dtype and np.array_equal(loss.data, ref_loss)
+        for t, ref in ((a, ref_a), (b, ref_b)):
+            if t.requires_grad:
+                assert t.grad.dtype == dtype and np.array_equal(t.grad, ref)
+            else:
+                assert t.grad is None
+
+    def test_gradients_match_central_differences(self):
+        rng = np.random.default_rng(22)
+        a, b = rand_tensor(rng, (4, 3)), rand_tensor(rng, (4, 3))
+        assert grad_check(lambda: mse(tanh(a), b), [a, b], eps=1e-5) < 1e-4
+
+    def test_is_one_graph_node(self):
+        a, b = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.zeros((2, 3)))
+        assert len(Graph(mse(a, b))) == 3  # a, b and the output
+
+    def test_mismatched_shapes_raise(self):
+        with pytest.raises(ValueError, match=r"mse shape mismatch: \(2, 3\) vs \(3, 2\)"):
+            mse(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+
+
 class TestGraph:
     def test_topological_order(self):
         x = Tensor([1.0], requires_grad=True)
@@ -306,7 +350,7 @@ class TestGradCheck:
         w = rand_tensor(rng, (4,))
 
         def loss():
-            return tsum(square(w))
+            return tsum(w * w)
 
         assert grad_check(loss, [w], eps=1e-5) < 1e-7
 
@@ -330,7 +374,7 @@ class TestGradCheck:
         v = Tensor(np.full(2, 0.5), requires_grad=True)
 
         def loss():
-            return tsum(square(u)) * Tensor(1e3) + tsum(v * Tensor(3e-8))
+            return tsum(u * u) * Tensor(1e3) + tsum(v * Tensor(3e-8))
 
         assert grad_check(loss, [u, v], eps=1e-5) < 1e-4
 
@@ -343,7 +387,8 @@ def decades_problem():
     b = rand_tensor(rng, (3,))
 
     def loss():
-        return tmean(square(tanh(matmul(x, w) + b)))
+        h = tanh(matmul(x, w) + b)
+        return tmean(h * h)
 
     grads = backward(loss())
     return loss, [w, b], [grads[w].copy(), grads[b].copy()]
@@ -393,7 +438,7 @@ class TestGradCheckFindsWrongGradients:
     def test_dropped_loss_term_fails(self):
         loss, params, _ = decades_problem()
         w = params[0]
-        penalized = analytic_from(loss, lambda: loss() + tsum(square(w)) * Tensor(1e-2))
+        penalized = analytic_from(loss, lambda: loss() + tsum(w * w) * Tensor(1e-2))
         assert grad_check(penalized, params) >= 1e-4
 
 
@@ -406,7 +451,7 @@ class TestOpGradientsProperty:
             "tanh": tanh,
             "relu": relu,
             "sigmoid": sigmoid,
-            "square": square,
+            "self-mul": lambda t: t * t,
             "clamp": lambda t: clamp(t, -0.5, 0.5),
         }
         for trial in range(20):
@@ -434,7 +479,8 @@ class TestOpGradientsProperty:
             def loss():
                 joined = concat([a * b, a - b], axis=1)
                 left = slice_cols(joined, 0, 4)
-                return tmean(square(matmul(left, w) + bias))
+                out = matmul(left, w) + bias
+                return tmean(out * out)
 
             assert grad_check(loss, [a, b, w, bias], eps=1e-5) < 1e-4
 
@@ -482,7 +528,7 @@ DTYPE_CASES = {
     "dense-sigmoid": lambda leaf: dense(leaf(3, 4), leaf(4, 2), leaf(2), "sigmoid"),
     "exp": lambda leaf: exp(leaf(3, 4)),
     "log": lambda leaf: log(sigmoid(leaf(3, 4))),
-    "square": lambda leaf: square(leaf(3, 4)),
+    "mse": lambda leaf: mse(leaf(3, 4), leaf(3, 4)),
     "clamp": lambda leaf: clamp(leaf(3, 4), -0.5, 0.5),
     "tsum": lambda leaf: tsum(leaf(3, 4)),
     "tmean": lambda leaf: tmean(leaf(3, 4)),
@@ -491,7 +537,7 @@ DTYPE_CASES = {
     "slice_cols": lambda leaf: slice_cols(leaf(3, 4), 1, 3),
     "softmax_cross_entropy": lambda leaf: softmax_cross_entropy(leaf(5, 3), [0, 2, 1, 1, 0]),
     # scalar operands: NumPy before 2.0 widened a 0-d float32 against a Python number
-    "square-0d": lambda leaf: square(leaf()),
+    "mse-0d": lambda leaf: mse(leaf(), leaf()),
     "tmean-0d": lambda leaf: tmean(leaf()),
     "sigmoid-0d": lambda leaf: sigmoid(leaf()),
     "relu-0d": lambda leaf: relu(leaf()),

@@ -205,10 +205,17 @@ def test_attack_p3_threshold_beyond_u16_exits_1_and_writes_nothing(tmp_path, cap
 
 @pytest.mark.parametrize("section", ["train", "data"])
 @pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
-def test_bad_seed_in_config_exits_2(tmp_path, capsys, section, value):
+@pytest.mark.parametrize("also", ["alone", "other-seed", "seed-flag"])
+def test_bad_seed_in_config_exits_2(tmp_path, capsys, section, value, also):
+    # checked even where another seed is the one the run would use
+    text = f"[{section}]\nseed = {value}\n"
+    if also == "other-seed":
+        text += f"\n[{'data' if section == 'train' else 'train'}]\nseed = 3\n"
+    flags = ["--seed", "5"] if also == "seed-flag" else []
     config = tmp_path / "run.ini"
-    config.write_text(f"[{section}]\nseed = {value}\n")
-    assert cli.main(["train-toy", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    config.write_text(text)
+    assert cli.main([*flags, "train-toy", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: bad value for {section}.seed: ")
     assert not (tmp_path / "run").exists()
@@ -406,7 +413,7 @@ class CapturedTrain(Exception):
     pass
 
 
-def built_configs(tmp_path, monkeypatch, text):
+def built_configs(tmp_path, monkeypatch, text, flags=("--seed", str(RUN_SEED))):
     """The TrainConfig, ClusterSpec and AttackConfig `train-toy` builds from INI `text`."""
     seen = {}
 
@@ -414,19 +421,22 @@ def built_configs(tmp_path, monkeypatch, text):
         seen["data"] = spec
         return real_gen(spec)
 
+    def attack_from(config, seed):
+        seen["attack"] = real_attack(config, seed)
+        return seen["attack"]
+
     def train_only(features, config, **kwargs):
         seen["train"] = config
         raise CapturedTrain
 
-    real_gen = cli.gen_toy_clusters
+    real_gen, real_attack = cli.gen_toy_clusters, cli.attack_config_from
     monkeypatch.setattr(cli, "gen_toy_clusters", spec_only)
+    monkeypatch.setattr(cli, "attack_config_from", attack_from)
     monkeypatch.setattr(cli, "train", train_only)
     path = tmp_path / "run.ini"
     path.write_text(text)
     with pytest.raises(CapturedTrain):
-        cli.main(["--seed", str(RUN_SEED), "train-toy", "--config", str(path),
-                  "--out", str(tmp_path / "run")])
-    seen["attack"] = cli.attack_config_from(cli.load_config(path), RUN_SEED)
+        cli.main([*flags, "train-toy", "--config", str(path), "--out", str(tmp_path / "run")])
     return seen
 
 
@@ -450,9 +460,10 @@ def other_value(value):
     return value * 2  # 2/64 of any feature width still divides
 
 
+# the run seeds, [data] and [train] seed, have their own test below
 @pytest.mark.parametrize("section, name", [
     (section, f.name) for section, config in DEFAULTS.items() for f in fields(config)
-    if f.name != "input_width"])
+    if f.name != "input_width" and (section, f.name) not in {("data", "seed"), ("train", "seed")}])
 def test_one_ini_key_changes_exactly_its_field(tmp_path, monkeypatch, section, name):
     value = other_value(getattr(DEFAULTS[section], name))
     built = built_configs(tmp_path, monkeypatch,
@@ -461,6 +472,25 @@ def test_one_ini_key_changes_exactly_its_field(tmp_path, monkeypatch, section, n
     changed = {(s, key) for s in DEFAULTS
                for key, v in asdict(built[s]).items() if v != asdict(DEFAULTS[s])[key]}
     assert changed == {(section, name)}
+
+
+BOTH_SEEDS = "[data]\nseed = 9\n\n[train]\nseed = 3\n"
+
+
+@pytest.mark.parametrize("flags, text, data, train, attack", [
+    (("--seed", "5"), BOTH_SEEDS, 5, 5, 6),
+    (("--seed", "5"), BOTH_SEEDS + "\n[attack]\nseed = 11\n", 5, 5, 11),
+    ((), BOTH_SEEDS, 9, 3, 4),
+    ((), "[data]\nseed = 9\n", 9, 9, 10),
+], ids=["flag-over-both", "flag-and-attack-seed", "train-over-data", "data-alone"])
+def test_run_seed_precedence(tmp_path, monkeypatch, flags, text, data, train, attack):
+    # --seed, else [train] seed, else [data] seed; --seed replaces both file
+    # seeds, and resolved.ini records the seeds the run used
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    built = built_configs(tmp_path, monkeypatch, text, flags)
+    assert (built["data"].seed, built["train"].seed, built["attack"].seed) == (data, train, attack)
+    resolved = cli.load_config(tmp_path / "run" / "resolved.ini")
+    assert (resolved["data"]["seed"], resolved["train"]["seed"]) == (str(data), str(train))
 
 
 def test_ini_keys_are_the_field_names_plus_the_documented_extras():

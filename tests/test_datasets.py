@@ -26,6 +26,10 @@ class TestClusterSpec:
         with pytest.raises(ValueError):
             ClusterSpec(cluster_std=0.0)
 
+    def test_negative_seed_names_the_field(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            ClusterSpec(seed=-1)
+
 
 class TestGenToyClusters:
     def test_default_counts_and_classes(self):

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -113,38 +114,50 @@ class TestAttackConfig:
 
 class TestProbeDtype:
     @pytest.fixture
-    def optimizers(self, monkeypatch):
-        made = []
+    def step_dtypes(self, monkeypatch):
+        """Per probe Adam step, the dtypes of the weights, gradients and Adam's
+        buffers, read as it steps: the probe releases its gradients when it ends."""
+        steps = []
 
         class RecordingAdam(evaluation.Adam):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(self)
+            def step(self):
+                super().step()
+                arrays = [self._flat, self.m, self.v, self._grad, self._tmp]
+                for p in self.params:
+                    arrays += [p.data, p.grad]
+                steps.append({a.dtype for a in arrays})
 
         monkeypatch.setattr(evaluation, "Adam", RecordingAdam)
-        return made
+        return steps
 
-    @staticmethod
-    def assert_all_float32(opt):
-        assert evaluation.CLASSIFIER_DTYPE == np.float32
-        arrays = [opt._flat, opt.m, opt.v, opt._grad, opt._tmp]
-        for p in opt.params:
-            arrays += [p.data, p.grad]
-        assert all(a.dtype == np.float32 for a in arrays)
-
-    def test_one_attack_step_keeps_weights_gradients_and_adam_in_float32(self, optimizers):
+    def test_one_attack_step_keeps_weights_gradients_and_adam_in_float32(self, step_dtypes):
         attack_train_eval(toy(seed=12, per=20), AttackConfig(iterations=1, seed=2))
-        (opt,) = optimizers
-        assert opt.step_count == 1
-        self.assert_all_float32(opt)
+        assert evaluation.CLASSIFIER_DTYPE == np.float32
+        assert step_dtypes == [{np.dtype(np.float32)}]
 
-    def test_one_separability_step_keeps_weights_gradients_and_adam_in_float32(self, optimizers):
+    def test_one_separability_step_keeps_weights_gradients_and_adam_in_float32(self, step_dtypes):
         rng = np.random.default_rng(13)
         separability(rng.standard_normal((40, 2)), rng.standard_normal((40, 2)),
                      AttackConfig(iterations=1, seed=2))
-        (opt,) = optimizers
-        assert opt.step_count == 1
-        self.assert_all_float32(opt)
+        assert evaluation.CLASSIFIER_DTYPE == np.float32
+        assert step_dtypes == [{np.dtype(np.float32)}]
+
+    def test_gradient_buffer_is_freed_once_the_classifier_is_trained(self, monkeypatch):
+        # so the held-out pass of attack_train_eval runs without it
+        buffers = []
+
+        class WatchedAdam(evaluation.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                buffers.append(weakref.ref(self._grad))
+
+        monkeypatch.setattr(evaluation, "Adam", WatchedAdam)
+        ds = toy(seed=12, per=20)
+        layers = evaluation._train_classifier(ds.features, ds.labels, ds.class_count,
+                                              AttackConfig(iterations=2, seed=2))
+        (buffer,) = buffers
+        assert buffer() is None
+        assert all(layer.w.grad is None for layer in layers)
 
     def test_float32_attack_agrees_with_float64_within_one_heldout_sample(self, monkeypatch):
         ds = toy(seed=14, per=40)

@@ -1,9 +1,10 @@
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from privsplit.autodiff import Tensor, backward, dense, square, tsum
+from privsplit.autodiff import Tensor, backward, dense, tsum
 from privsplit.optim import Adam
 
 
@@ -92,7 +93,7 @@ class TestAdamWrapper:
         opt = Adam([w], alpha=0.05)
         for _ in range(400):
             w.grad = None
-            backward(tsum(square(w)))
+            backward(tsum(w * w))
             opt.step()
         assert np.all(np.abs(w.data) < 1e-2)
 
@@ -139,7 +140,12 @@ def dense_layer(seed=5):
     w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
     x = Tensor(rng.standard_normal((6, 4)))
-    return w, b, lambda: tsum(square(dense(x, w, b, "tanh")))
+
+    def loss():
+        h = dense(x, w, b, "tanh")
+        return tsum(h * h)
+
+    return w, b, loss
 
 
 class TestGradientOwnership:
@@ -175,6 +181,22 @@ class TestGradientOwnership:
         ref_b, _ = adam_step(ref_b, b.grad, AdamState.init(3, alpha=0.01))
         assert np.array_equal(w.data.reshape(-1), ref_w)
         assert np.array_equal(b.data, ref_b)
+
+
+    def test_release_unbinds_the_gradients_and_the_buffer_dies_with_the_optimizer(self):
+        w, b, loss = dense_layer()
+        opt = Adam([w, b])
+        backward(loss())
+        opt.step()
+        trained = w.data.copy()
+        buffer = weakref.ref(opt._grad)
+        opt.release()
+        assert all(p.grad is None and p.grad_buffer is None for p in (w, b))
+        del opt
+        assert buffer() is None
+        assert np.array_equal(w.data, trained)
+        backward(loss())  # a later pass gets fresh gradients
+        assert w.grad is not None and w.grad_buffer is None
 
 
 def assert_flat_adam_matches_adam_step(shapes, dtype=np.float64):

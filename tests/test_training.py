@@ -6,6 +6,7 @@ import math
 import struct
 import tempfile
 import tracemalloc
+import weakref
 import zipfile
 from dataclasses import asdict
 from fractions import Fraction
@@ -120,10 +121,33 @@ class TestTrainBasics:
     @pytest.mark.parametrize("ablation", ["full", "no_collaborative", "msednet"])
     def test_trained_gradients_live_in_the_optimizers_buffer(self, recorded_optimizers,
                                                                ablation):
-        train(small_blobs(), quick_config(ablation=ablation, iterations=2))
-        (opt,) = recorded_optimizers
-        assert all(p.grad is p.grad_buffer and np.shares_memory(p.grad, opt._grad)
-                   for p in opt.params)
+        # read after each step, since train releases them once it ends
+        in_buffer = []
+
+        def check(done, bundle):
+            (opt,) = recorded_optimizers
+            in_buffer.append(all(p.grad is p.grad_buffer and np.shares_memory(p.grad, opt._grad)
+                                 for p in opt.params))
+
+        bundle, _ = train(small_blobs(), quick_config(ablation=ablation, iterations=2),
+                          snapshot_iters={1, 2}, snapshot_fn=check)
+        assert in_buffer == [True, True]
+        assert all(p.grad is None and p.grad_buffer is None for p in bundle.all_parameters())
+
+    @pytest.mark.parametrize("ablation", ["full", "no_collaborative", "msednet"])
+    def test_gradient_buffer_is_freed_when_train_returns(self, monkeypatch, ablation):
+        buffers = []
+
+        class WatchedAdam(training.Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                buffers.append(weakref.ref(self._grad))
+
+        monkeypatch.setattr(training, "Adam", WatchedAdam)
+        # the bundle is held, so its weights alone must not keep the buffer alive
+        bundle, _ = train(small_blobs(), quick_config(ablation=ablation, iterations=2))
+        (buffer,) = buffers
+        assert buffer() is None
 
     def test_perceptual_params_never_change(self):
         data = small_blobs()
@@ -180,21 +204,36 @@ class TestGraphsFreedByRefcount:
 
 
 class TestMemory:
-    def test_image_training_traced_peak_stays_below_24_mib(self):
-        # tracemalloc counts numpy's buffers too, and reads the same peak on
-        # every run: 29.6 MiB while each gradient was a fresh array copied
-        # into Adam's buffer and spent graphs lived into the next step,
-        # 21.9 MiB once they were not
+    """tracemalloc counts numpy's buffers too, and reads the same figures on
+    every run of 30 image-train iterations (seed 901, perceptual term on)."""
+
+    @pytest.fixture(scope="class")
+    def traced_image_training(self):
+        """(bytes still traced while the trained bundle is held, traced peak)."""
         ds = make_tiny_image_dataset(seed=901)
         features = ds.features[ds.train_idx]
         cfg = TrainConfig(iterations=30, seed=901, input_width=ds.width, use_perceptual=True)
         tracemalloc.start()
         try:
-            train(features, cfg)
-            _, peak = tracemalloc.get_traced_memory()
+            trained = train(features, cfg)  # held while the retained bytes are read
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return retained, peak
+
+    def test_image_training_traced_peak_stays_below_24_mib(self, traced_image_training):
+        # 29.6 MiB while each gradient was a fresh array copied into Adam's
+        # buffer and spent graphs lived into the next step, 21.9 MiB once they
+        # were not, 21.4 MiB with one optimizer, 20.3 MiB once each MSE term
+        # kept neither its difference nor its square
+        _, peak = traced_image_training
         assert peak < 24 * 2**20
+
+    def test_trained_bundle_retains_only_its_weights(self, traced_image_training):
+        # 4.2 MiB: the weights and their history; 7.8 MiB while the trained
+        # tensors' gradient views kept Adam's flat gradient buffer alive
+        retained, _ = traced_image_training
+        assert retained < 5 * 2**20
 
 
 class TestAblations:
