@@ -1,3 +1,4 @@
+import hashlib
 import math
 import weakref
 from dataclasses import replace
@@ -310,6 +311,23 @@ class TestScatterReport:
         svg = (tmp_path / "s.svg").read_text()
         assert svg.startswith("<svg")
         assert svg.count("<circle") == 250
+
+    def test_output_files_pinned(self, tmp_path):
+        # train-toy's default panels: 10 clusters of 200 points, 3 recorded iterations
+        rng = np.random.default_rng(12)
+        pts = rng.standard_normal((2000, 2))
+        labels = np.repeat(np.arange(10), 200)
+        marks = (0, 100, 500)
+        encrypted = {it: rng.standard_normal((2000, 2)) for it in marks}
+        reconstructed = {it: pts + 1e-3 * it * rng.standard_normal((2000, 2)) for it in marks}
+        scatter_report(pts, labels, encrypted, reconstructed,
+                       csv_path=tmp_path / "scatter.csv", svg_path=tmp_path / "scatter.svg")
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("scatter.csv", "scatter.svg")}
+        assert digests == {
+            "scatter.csv": "4da2b5869a9336e541ff2b21d2ca7827a16b70652b72530d14cd9ae4e4d7663b",
+            "scatter.svg": "7056c70e329c33c54c2611a77a79fe7d615c058b3688bfbef1d9616dccd2172d",
+        }
 
     def test_color_is_pure_function_of_cluster(self):
         assert cluster_color(3) == cluster_color(3)

@@ -352,6 +352,20 @@ class TestBitwisePins:
         run = train(small_blobs(), quick_config(ablation=ablation, iterations=30))
         assert run_digest(*run) == expected
 
+    def test_snapshot_panels_pinned(self):
+        # what train-toy's scatter panels read at iteration 0 and mid-run
+        plot_x = Tensor(small_blobs(seed=1))
+        digest = hashlib.sha256()
+
+        def panel(done, bundle):
+            digest.update(reconstruct(plot_x, bundle).data.tobytes())
+            digest.update(encrypt(plot_x, bundle, NoiseSpec(seed=7)).data.tobytes())
+
+        train(small_blobs(), quick_config(iterations=12), snapshot_iters={0, 6, 12},
+              snapshot_fn=panel)
+        assert digest.hexdigest() == (
+            "ad898823a6e453dc24d7b7a82af0367a10a2ea2b9d8b9e21209f65a39d16205c")
+
     def test_image_run_with_perceptual_term_pinned(self):
         ds = make_tiny_image_dataset(seed=0)
         cfg = TrainConfig(iterations=10, seed=5, input_width=ds.width, use_perceptual=True)
