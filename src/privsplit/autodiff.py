@@ -12,6 +12,13 @@ its own output, so a graph holds no reference cycle: once the last name bound
 to its loss goes, reference counting frees every node and its arrays at once,
 without waiting for the cyclic garbage collector.
 
+A forward pass records a graph only where an operand requires grad: an op
+on operands that need none returns a bare tensor, with no parents and no
+closure, so each activation is freed as soon as the next op has read it.
+Inference therefore runs on bundles whose tensors need no gradient: the
+``ModelBundle.detached()`` view that ``train`` hands its snapshot callback,
+and the bundles ``load_checkpoint`` returns.
+
 Who owns a gradient: :func:`backward` drops an interior node's ``grad``
 (an op output's) as soon as that node's closure has spent it, so only the
 root and the leaves hold a gradient afterwards. A leaf's first gradient of a

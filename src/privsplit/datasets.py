@@ -165,6 +165,7 @@ def make_tiny_image_dataset(source_dir=None, size: int = 32, class_count: int = 
         if len(class_dirs) < 2:
             raise ValueError(f"need at least 2 class directories under {source_dir}")
         images, labels = [], []
+        first = None  # (path, channels) of the first pixmap; every other must match
         for c, cdir in enumerate(class_dirs):
             files = sorted(cdir.glob("*.p[gp]m"))
             if len(files) < 20:
@@ -173,6 +174,11 @@ def make_tiny_image_dataset(source_dir=None, size: int = 32, class_count: int = 
                 img = load_pixmap(f)
                 if (img.height, img.width) != (size, size):
                     raise ValueError(f"{f} is {img.width}x{img.height}, expected {size}x{size}")
+                if first is None:
+                    first = f, img.channels
+                elif img.channels != first[1]:
+                    raise ValueError(f"{f} has {img.channels} channel(s), but {first[0]} has "
+                                     f"{first[1]}; a class set needs one channel count")
                 images.append(img)
                 labels.append(c)
         class_count = len(class_dirs)

@@ -260,48 +260,40 @@ def write_report_csv(reports: list[AttackReport], path) -> None:
 
 def scatter_report(original: np.ndarray, labels: np.ndarray,
                    encrypted: dict[int, np.ndarray], reconstructed: dict[int, np.ndarray],
-                   csv_path=None, svg_path=None) -> list[tuple]:
-    """Rows (x, y, cluster, set, iteration) plus an optional 3-row panel grid.
+                   csv_path=None, svg_path=None) -> None:
+    """Write rows (x, y, cluster, set, iteration) and an optional 3-row panel grid.
 
-    Top row: the original samples. Middle: encrypted outputs per recorded
-    iteration. Bottom: reconstructed outputs per recorded iteration.
+    CSV rows: the original samples (iteration empty), then the encrypted
+    and then the reconstructed outputs, each by recorded iteration. Grid:
+    the original samples on top, encrypted outputs per recorded iteration
+    in the middle, reconstructed ones at the bottom. Both files are written
+    straight from the arrays, row by row, so no copy of the report is built.
     """
-    original = np.asarray(original, dtype=np.float64)
     labels = np.asarray(labels)
-    for name, sets in (("original", {0: original}),
-                       ("encrypted", encrypted), ("reconstructed", reconstructed)):
-        for it, arr in sets.items():
-            arr = np.asarray(arr)
+    sets = {"original": {0: original}, "encrypted": encrypted, "reconstructed": reconstructed}
+    points = {}  # (set, iteration) -> its (n, 2) float64 points, in report order
+    for name, by_iteration in sets.items():
+        for it in sorted(by_iteration):
+            arr = np.asarray(by_iteration[it], dtype=np.float64)
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise ValueError(f"{name} samples at iteration {it} are not 2-D points")
             if arr.shape[0] != labels.shape[0]:
                 raise ValueError(f"{name} samples at iteration {it} disagree with label count")
-
-    rows: list[tuple] = []
-    for (x, y), c in zip(original, labels):
-        rows.append((float(x), float(y), int(c), "original", ""))
-    for set_name, sets in (("encrypted", encrypted), ("reconstructed", reconstructed)):
-        for it in sorted(sets):
-            for (x, y), c in zip(np.asarray(sets[it], dtype=np.float64), labels):
-                rows.append((float(x), float(y), int(c), set_name, it))
+            points[name, it] = arr
 
     if csv_path is not None:
+        clusters = [int(c) for c in labels.tolist()]
         with open(csv_path, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
             writer.writerow(("x", "y", "cluster", "set", "iteration"))
-            for row in rows:
-                writer.writerow([repr(row[0]), repr(row[1]), row[2], row[3], row[4]])
+            for (name, it), arr in points.items():
+                iteration = "" if name == "original" else it
+                writer.writerows((repr(x), repr(y), c, name, iteration) for x, y, c
+                                 in zip(arr[:, 0].tolist(), arr[:, 1].tolist(), clusters))
 
     if svg_path is not None:
-        def panel(title, pts):
-            return Panel(title, [(float(x), float(y), cluster_color(int(c)))
-                                 for (x, y), c in zip(pts, labels)])
-
-        grid = [
-            [panel("original", original)],
-            [panel(f"encrypted @ {it}", np.asarray(encrypted[it])) for it in sorted(encrypted)],
-            [panel(f"reconstructed @ {it}", np.asarray(reconstructed[it]))
-             for it in sorted(reconstructed)],
-        ]
+        colors = [cluster_color(c) for c in labels.tolist()]
+        grid = [[Panel(name if name == "original" else f"{name} @ {it}", arr, colors)
+                 for (set_name, it), arr in points.items() if set_name == name]
+                for name in sets]
         scatter_grid([row for row in grid if row], svg_path)
-    return rows

@@ -87,6 +87,21 @@ class ModelBundle:
     def all_parameters(self) -> list[Tensor]:
         return self.generator_parameters() + self.discriminator_parameters()
 
+    def detached(self) -> ModelBundle:
+        """A view for inference: the same weight arrays in tensors that need no gradient.
+
+        A forward pass through it records no graph, so each activation is
+        freed once the next layer has read it. It sees the bundle's in-place
+        weight updates, but not an array the bundle's tensors are rebound
+        to later (``Adam`` rebinds them into its flat buffer when it is
+        built), so build it after the optimizer. Never train it.
+        """
+        def frozen(layers: list[Layer]) -> list[Layer]:
+            return [Layer(Tensor(layer.w.data), Tensor(layer.b.data)) for layer in layers]
+
+        return ModelBundle(frozen(self.encoder), frozen(self.decoder),
+                           frozen(self.discriminator), frozen(self.perceptual), self.config)
+
 
 def _init_layer(rng: np.random.Generator, fan_in: int, fan_out: int, trainable: bool = True,
                 dtype=np.float64) -> Layer:

@@ -210,8 +210,11 @@ def train(dataset, config: TrainConfig,
           ) -> tuple[ModelBundle, TrainHistory]:
     """Run `config.iterations` training iterations and return the models.
 
-    `snapshot_fn(iteration, bundle)` fires whenever the number of completed
+    `snapshot_fn(iteration, view)` fires whenever the number of completed
     iterations hits one of `snapshot_iters` (0 means the initial state).
+    `view` is :meth:`~privsplit.models.ModelBundle.detached`: it shares the
+    trained weights as they stand, and its forward passes record no graph,
+    so a large panel keeps no activation alive. It must not be trained.
     """
     features = _features_of(dataset)
     if features.shape[1] != config.input_width:
@@ -227,18 +230,17 @@ def train(dataset, config: TrainConfig,
     history = TrainHistory()
     snapshot_iters = set(snapshot_iters)
 
-    def snapshot(done: int) -> None:
-        if snapshot_fn is not None and done in snapshot_iters:
-            snapshot_fn(done, bundle)
-
-    snapshot(0)
-    if config.iterations == 0:
-        return bundle, history
-
     full = config.ablation == "full"  # only full trains the discriminator
     opt = Adam(bundle.all_parameters() if full else bundle.generator_parameters(),
                alpha=config.alpha, beta1=config.beta1, beta2=config.beta2,
                epsilon=config.epsilon)
+    view = bundle.detached()  # after Adam has moved the weights into its buffer
+
+    def snapshot(done: int) -> None:
+        if snapshot_fn is not None and done in snapshot_iters:
+            snapshot_fn(done, view)
+
+    snapshot(0)
 
     def step(i: int, x: Tensor) -> tuple[float | None, float | None, float, float, float]:
         """One iteration's forward, backward and update; returns the loss values.
@@ -301,7 +303,10 @@ def save_checkpoint(bundle: ModelBundle, history: TrainHistory, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelBundle, TrainHistory]:
-    """Read and validate a version-2 checkpoint written by :func:`save_checkpoint`."""
+    """Read and validate a version-2 checkpoint written by :func:`save_checkpoint`.
+
+    No tensor of the bundle requires grad, so its forward passes record no graph.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
             fh.seek(0)
@@ -311,8 +316,7 @@ def load_checkpoint(path) -> tuple[ModelBundle, TrainHistory]:
             with np.load(fh, allow_pickle=False) as archive:
                 header = _read_header(archive)
                 config, widths = _checked_config(header)
-                layers = {net: _read_layers(archive, net, widths[net], net != "perceptual")
-                          for net in _NETWORKS}
+                layers = {net: _read_layers(archive, net, widths[net]) for net in _NETWORKS}
         # what zipfile raises on a damaged archive: short reads, bad CRCs, and
         # header bytes that claim encryption, a newer zip version or compression
         except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError) as exc:
@@ -389,7 +393,8 @@ def _check_field_types(config: ModelConfig) -> None:
             raise TypeError(f"model_config {f.name} is {value!r}, expected {f.type}")
 
 
-def _read_layers(archive, net: str, widths: list[int], trainable: bool) -> list[Layer]:
+def _read_layers(archive, net: str, widths: list[int]) -> list[Layer]:
+    """A network's layers in tensors that need no gradient: loaded models only run forward."""
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         arrays = []
@@ -402,7 +407,7 @@ def _read_layers(archive, net: str, widths: list[int], trainable: bool) -> list[
                     f"float64 of shape {shape}")
             if not np.isfinite(a).all():
                 raise MalformedCheckpointError(f"{name} has non-finite values")
-            arrays.append(Tensor(a, requires_grad=trainable))
+            arrays.append(Tensor(a))
         layers.append(Layer(*arrays))
     return layers
 

@@ -11,7 +11,7 @@ from privsplit.datasets import (
     make_tiny_image_dataset,
     pixels_to_features,
 )
-from privsplit.image import save_pixmap
+from privsplit.image import Image, save_pixmap
 
 
 class TestClusterSpec:
@@ -146,4 +146,17 @@ class TestTinyImages:
             cdir.mkdir(exist_ok=True)
             save_pixmap(base.images[i], cdir / f"{i:03d}.pgm")
         with pytest.raises(ValueError, match="need >= 20"):
+            make_tiny_image_dataset(source_dir=tmp_path, size=16)
+
+    def test_directory_mixing_grey_and_colour_names_the_file(self, tmp_path):
+        base = make_tiny_image_dataset(class_count=2, per_class=20, seed=7, size=16)
+        for i, img in enumerate(base.images):
+            cdir = tmp_path / f"class{base.labels[i]}"
+            cdir.mkdir(exist_ok=True)
+            if i == 5:  # one colour pixmap among the grey ones
+                save_pixmap(Image.from_array(np.repeat(img.pixels, 3, axis=2)),
+                            cdir / f"{i:03d}.ppm")
+            else:
+                save_pixmap(img, cdir / f"{i:03d}.pgm")
+        with pytest.raises(ValueError, match=r"005\.ppm has 3 channel\(s\), but .*000\.pgm has 1"):
             make_tiny_image_dataset(source_dir=tmp_path, size=16)

@@ -135,6 +135,24 @@ class TestTrainBasics:
         assert all(p.grad is None and p.grad_buffer is None for p in bundle.all_parameters())
 
     @pytest.mark.parametrize("ablation", ["full", "no_collaborative", "msednet"])
+    def test_snapshots_see_the_trained_weights_and_record_no_graph(self, recorded_optimizers,
+                                                                   ablation):
+        x = Tensor(small_blobs()[:8])
+        seen = []
+
+        def check(done, view):
+            (opt,) = recorded_optimizers
+            trained = (view.all_parameters() if ablation == "full"
+                       else view.generator_parameters())
+            seen.append((all(np.shares_memory(v.data, p.data)
+                             for v, p in zip(trained, opt.params, strict=True)),
+                         reconstruct(x, view).requires_grad))
+
+        train(small_blobs(), quick_config(ablation=ablation, iterations=2),
+              snapshot_iters={1, 2}, snapshot_fn=check)
+        assert seen == [(True, False), (True, False)]
+
+    @pytest.mark.parametrize("ablation", ["full", "no_collaborative", "msednet"])
     def test_gradient_buffer_is_freed_when_train_returns(self, monkeypatch, ablation):
         buffers = []
 
@@ -234,6 +252,29 @@ class TestMemory:
         # tensors' gradient views kept Adam's flat gradient buffer alive
         retained, _ = traced_image_training
         assert retained < 5 * 2**20
+
+
+class TestSnapshotMemory:
+    def test_2000_row_panel_traced_peak_stays_below_8_mib(self):
+        # train-toy's panel: reconstruct and encrypt 2000 rows at width 128.
+        # 6.2 MiB through the view, 10.1 MiB while every activation stayed in a graph
+        ds = gen_toy_clusters(ClusterSpec(seed=2, points_per_cluster=200))
+        plot_x = Tensor(ds.features[:2000])
+        peaks = []
+
+        def panel(done, view):
+            tracemalloc.start()
+            try:
+                reconstruct(plot_x, view)
+                encrypt(plot_x, view, NoiseSpec(seed=3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        train(ds.features[ds.train_idx], TrainConfig(iterations=2, seed=2),
+              snapshot_iters={0, 2}, snapshot_fn=panel)
+        assert len(peaks) == 2
+        assert max(peaks) < 8 * 2**20
 
 
 class TestAblations:
@@ -444,6 +485,11 @@ class TestCheckpoints:
         assert np.array_equal(encrypt(x, bundle, noise).data, encrypt(x, loaded, noise).data)
         assert loaded_history.l_g_total == history.l_g_total
         assert loaded_history.l_d == history.l_d
+
+    def test_loaded_bundle_records_no_graph(self, tmp_path):
+        loaded, _ = load_checkpoint(saved_checkpoint(tmp_path))
+        out = encrypt(Tensor(small_blobs()[:5]), loaded, NoiseSpec(seed=1))
+        assert out._parents == () and not out.requires_grad
 
     def test_truncated_file_is_malformed(self, tmp_path):
         data = small_blobs()
