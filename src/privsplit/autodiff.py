@@ -16,8 +16,8 @@ A forward pass records a graph only where an operand requires grad: an op
 on operands that need none returns a bare tensor, with no parents and no
 closure, so each activation is freed as soon as the next op has read it.
 Inference therefore runs on bundles whose tensors need no gradient: the
-``ModelBundle.detached()`` view that ``train`` hands its snapshot callback,
-and the bundles ``load_checkpoint`` returns.
+``ModelBundle.detached()`` view that ``train`` hands its snapshot callback
+and returns, and the bundles ``load_checkpoint`` returns.
 
 Who owns a gradient: :func:`backward` drops an interior node's ``grad``
 (an op output's) as soon as that node's closure has spent it, so only the
@@ -27,10 +27,10 @@ hands each parameter it trains a view into its own flat gradient buffer,
 and the first contribution is written straight into that view (by
 ``np.matmul(..., out=)`` and ``np.sum(..., out=)`` in :func:`dense`, by a
 copy elsewhere), later ones added in place. The parameter's ``grad``
-is then that very view, so the optimizer reads it without a copy. The
-optimizer owns gradients until ``release()``: that sets every trained
-tensor's ``grad`` and ``grad_buffer`` to None, so trained weights do not
-keep the flat gradient buffer alive once the optimizer is gone.
+is then that very view, so the optimizer reads it without a copy. Trained
+weights leave training in fresh tensors that need no gradient (see
+``ModelBundle.detached()``), so nothing keeps the flat gradient buffer alive
+once the optimizer is gone.
 
 Dtypes follow the data. A float32 array stays float32: every op on float32
 operands yields a float32 output, :func:`backward` seeds a float32 loss
@@ -43,8 +43,8 @@ with NEP 50 in NumPy 2 (the legacy rule widens a 0-d float32 to float64).
 Mixing float32 and float64 operands promotes to float64; keep one graph in
 one dtype.
 
-``matmul`` and ``dense`` reject a NaN or infinite operand with
-:class:`NonFiniteError`, but they scan only the product, which is far
+:func:`dense` rejects a NaN or infinite operand with
+:class:`NonFiniteError`, but it scans only the product, which is far
 smaller than the operands (64 x 128 values against 64 x 1024 + 1024 x 128
 in an image layer). That is exact under IEEE arithmetic: a NaN or an
 infinity in row i of the left operand, or in column j of the right one,
@@ -126,9 +126,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
 
 def as_tensor(x) -> Tensor:
@@ -237,7 +234,7 @@ class Graph:
         return len(self.nodes)
 
 
-def backward(loss: Tensor, graph: Graph | None = None) -> dict[Tensor, np.ndarray]:
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Populate gradients of everything `loss` depends on.
 
     Grads of tensors inside the graph are cleared first and each node's
@@ -249,8 +246,7 @@ def backward(loss: Tensor, graph: Graph | None = None) -> dict[Tensor, np.ndarra
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if graph is None:
-        graph = Graph(loss)
+    graph = Graph(loss)
     for node in graph.nodes:
         if node.requires_grad:
             node.grad = None
@@ -311,20 +307,6 @@ def neg(a: Tensor) -> Tensor:
             _accumulate(a, -out_grad, owned=True)
 
     return _op(-a.data, (a,), backprop)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-    out_data = _checked_product(a, b, "matmul")
-
-    def backprop(out_grad):
-        if a.requires_grad:
-            _accumulate(a, out_grad @ b.data.T, owned=True)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ out_grad, owned=True)
-
-    return _op(out_data, (a, b), backprop)
 
 
 # Each activation is (forward(x, out=None), grad(y, out_grad)); the gradient
@@ -390,32 +372,18 @@ def _elementwise(a: Tensor, kind: str) -> Tensor:
     return _op(y, (a,), backprop)
 
 
-def tanh(a: Tensor) -> Tensor:
-    return _elementwise(a, "tanh")
-
-
-def relu(a: Tensor) -> Tensor:
-    return _elementwise(a, "relu")
-
-
 def sigmoid(a: Tensor) -> Tensor:
     """Logistic clamped into [PROB_EPS, 1-PROB_EPS], strictly inside (0, 1)."""
     return _elementwise(a, "sigmoid")
 
 
-def activation(t: Tensor, kind: str) -> Tensor:
-    """Elementwise nonlinearity, one of tanh / relu / sigmoid."""
-    _activation_fns(kind)
-    _require_finite(t, f"activation[{kind}]")
-    return _elementwise(t, kind)
-
-
 def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
     """``act(x @ w + b)`` as one graph node; `act` None keeps it linear.
 
-    Output and gradients equal the matmul -> add -> activation chain
-    bitwise, and the same finiteness checks run: on the matmul inputs (by
-    way of their product), and on the pre-activation when there is an
+    Output and gradients equal a chain of separate product, bias-add and
+    activation ops bitwise (``tests/test_autodiff.py`` keeps that chain). A
+    non-finite input raises :class:`NonFiniteError`, found by way of the
+    product, and so does a non-finite pre-activation when there is an
     activation. The bias gradient is the column sum of the pre-activation
     gradient.
     """
@@ -443,16 +411,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
             _accumulate_result(b, np.sum, g, 0)
 
     return _op(y, (x, w, b), backprop)
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-
-    def backprop(out_grad):
-        if a.requires_grad:
-            _accumulate(a, y * out_grad, owned=True)
-
-    return _op(y, (a,), backprop)
 
 
 def log(a: Tensor) -> Tensor:

@@ -352,9 +352,11 @@ def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
         raise usage_error("train-toy needs 2-D data (data.kind = toy)")
     tcfg = _from_section(TrainConfig, config, "train", seed=seed, input_width=2)
     acfg = attack_config_from(config, tcfg.seed)
+    plot_n = _get(config, "plot", "points_per_cluster", 200, int)
+    if plot_n < 0:
+        raise ValueError(f"plot.points_per_cluster must be non-negative, got {plot_n}")
     write_run_files(outdir, "train-toy", config, tcfg.seed)
 
-    plot_n = _get(config, "plot", "points_per_cluster", 200, int)
     idx = _toy_snapshot_indices(dataset, plot_n, tcfg.seed)
     plot_x = Tensor(dataset.features[idx])
     plot_labels = dataset.labels[idx]
@@ -464,12 +466,20 @@ def cmd_obfuscate(args) -> int:
 _IMAGE_CHUNK_ROWS = 32
 
 
-def _image_space_method(name, dataset, transform) -> ObfuscationMethod:
-    """`transform` maps an (n, size, size, channels) uint8 stack to another."""
+def _image_space_method(name, key, dataset, transform) -> ObfuscationMethod:
+    """`transform` maps an (n, size, size, channels) uint8 stack to another.
+
+    It is tried on one blank image first, so a bad `[attack] key` value
+    fails the command before anything is written, not as a NaN row.
+    """
     meta = dataset.meta
     if meta.get("kind") != "tiny-images":
         raise usage_error(f"method {name} needs image data (data.kind = tiny)")
     shape = (-1, meta["size"], meta["size"], meta["channels"])
+    try:
+        transform(np.zeros((1, *shape[1:]), dtype=np.uint8))
+    except ValueError as exc:
+        raise ValueError(f"attack.{key}: {exc}") from exc
 
     def encrypt_fn(features: np.ndarray, rng) -> np.ndarray:
         out = np.empty_like(features)
@@ -508,17 +518,18 @@ def build_methods(config: dict, dataset: LabeledDataset, noise_std: float) -> li
         if name == "pixelate":
             factor = _get(config, "attack", "pixelate_factor", PIXELATE_FACTOR, int)
             methods.append(_image_space_method(
-                f"Pixelation({factor})", dataset,
+                f"Pixelation({factor})", "pixelate_factor", dataset,
                 lambda px, f=factor: pixelate_stack(px, f)))
         elif name == "blur":
             radius = _get(config, "attack", "blur_radius", BLUR_RADIUS, int)
             methods.append(_image_space_method(
-                f"Blurring({radius})", dataset,
+                f"Blurring({radius})", "blur_radius", dataset,
                 lambda px, r=radius: gaussian_blur_stack(px, r)))
         elif name == "p3":
             threshold = _get(config, "attack", "p3_threshold", P3_THRESHOLD, int)
             method = _image_space_method(
-                f"P3({threshold})", dataset, lambda px, t=threshold: p3_public_stack(px, t))
+                f"P3({threshold})", "p3_threshold", dataset,
+                lambda px, t=threshold: p3_public_stack(px, t))
             method.proportion = _mean_secret_proportion(dataset, threshold)
             methods.append(method)
         elif name == "model":
@@ -566,6 +577,8 @@ def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
     dataset = dataset_from(config, seed)
     proportions = _get(config, "sweep", "proportions",
                        _fractions("1/64,1/32,1/16,1/8,1/4,1/2"), _fractions)
+    if not proportions:
+        raise ValueError("sweep.proportions names no proportion")
     base = _from_section(TrainConfig, config, "train", seed=seed, input_width=dataset.width,
                          use_perceptual=dataset.meta.get("kind") == "tiny-images")
     # every proportion is checked before the first run trains or writes a file

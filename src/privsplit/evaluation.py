@@ -31,7 +31,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward, softmax_cross_entropy
 from .datasets import LabeledDataset, _split_indices
-from .models import _init_mlp, _mlp_forward
+from .models import _init_mlp, _mlp_forward, frozen
 from .optim import Adam
 from .svgplot import Panel, cluster_color, scatter_grid
 
@@ -74,7 +74,11 @@ class AttackConfig:
 
 
 def _train_classifier(features, labels, out_width, config: AttackConfig):
-    """A fresh softmax MLP trained on (`features`, `labels`) in the dtype of `features`."""
+    """A fresh softmax MLP trained on (`features`, `labels`) in the dtype of `features`.
+
+    Its layers come back in tensors that need no gradient, so the optimizer's
+    gradient buffer dies here and a forward pass through them records no graph.
+    """
     rng = np.random.default_rng(config.seed)
     widths = [features.shape[1], config.hidden_width, config.hidden_width, out_width]
     layers = _init_mlp(rng, widths, dtype=features.dtype)
@@ -85,13 +89,11 @@ def _train_classifier(features, labels, out_width, config: AttackConfig):
         x = Tensor(features[idx])
         backward(softmax_cross_entropy(_mlp_forward(layers, x), labels[idx]))
         opt.step()
-    opt.release()
-    return layers
+    return frozen(layers)
 
 
-def attack_train_eval(encrypted: LabeledDataset, config: AttackConfig | None = None) -> float:
+def attack_train_eval(encrypted: LabeledDataset, config: AttackConfig) -> float:
     """Train a fresh classifier on the encrypted train split; held-out accuracy."""
-    config = config or AttackConfig()
     if encrypted.class_count < 2:
         raise ValueError("attack needs at least 2 classes")
     # cast straight from the row gather, so no float64 copy of the rows stays alive
@@ -104,14 +106,13 @@ def attack_train_eval(encrypted: LabeledDataset, config: AttackConfig | None = N
     return float((predicted == encrypted.labels[encrypted.heldout_idx]).mean())
 
 
-def separability(recon_samples, encrypted_samples, config: AttackConfig | None = None) -> float:
+def separability(recon_samples, encrypted_samples, config: AttackConfig) -> float:
     """Held-out accuracy of the attack classifier told recon (1) from encrypted (0).
 
     Row i of both sets comes from source i, and the split is drawn over
     sources, so a probe cannot score by memorizing the other row of a pair.
     0.5 means the sets are indistinguishable, 1.0 maximal discrepancy.
     """
-    config = config or AttackConfig()
     recon, encrypted = np.asarray(recon_samples), np.asarray(encrypted_samples)
     if min(len(recon), len(encrypted)) < 2:  # a source to train on and one to hold out
         raise ValueError("separability needs two non-empty sample sets of at least 2 rows")
@@ -181,8 +182,7 @@ def _interval(accuracy: float, n: int) -> dict[str, float]:
 
 
 def compare_methods(dataset: LabeledDataset, methods: list[ObfuscationMethod],
-                    config: AttackConfig | None = None,
-                    csv_path=None) -> list[AttackReport]:
+                    config: AttackConfig, csv_path=None) -> list[AttackReport]:
     """One attack run per method plus Original and Random reference rows.
 
     PSNRs are computed on the held-out split against the original features,
@@ -190,7 +190,6 @@ def compare_methods(dataset: LabeledDataset, methods: list[ObfuscationMethod],
     method is reported with NaN accuracy and the error in its note; the
     remaining rows are still produced.
     """
-    config = config or AttackConfig()
     chance = 1.0 / dataset.class_count
     held = dataset.heldout_idx
     original_held = dataset.features[held]

@@ -56,6 +56,11 @@ class Layer:
     b: Tensor
 
 
+def frozen(layers: list[Layer]) -> list[Layer]:
+    """The same weight arrays in fresh tensors that need no gradient."""
+    return [Layer(Tensor(layer.w.data), Tensor(layer.b.data)) for layer in layers]
+
+
 @dataclass
 class ModelBundle:
     """All parameter sets plus the split geometry."""
@@ -94,11 +99,9 @@ class ModelBundle:
         freed once the next layer has read it. It sees the bundle's in-place
         weight updates, but not an array the bundle's tensors are rebound
         to later (``Adam`` rebinds them into its flat buffer when it is
-        built), so build it after the optimizer. Never train it.
+        built), so build it after the optimizer. It holds no gradient, so it
+        keeps no optimizer buffer alive: ``train`` returns it. Never train it.
         """
-        def frozen(layers: list[Layer]) -> list[Layer]:
-            return [Layer(Tensor(layer.w.data), Tensor(layer.b.data)) for layer in layers]
-
         return ModelBundle(frozen(self.encoder), frozen(self.decoder),
                            frozen(self.discriminator), frozen(self.perceptual), self.config)
 
@@ -183,20 +186,19 @@ def encode(x: Tensor, bundle: ModelBundle) -> SplitFeature:
                         privacy_part=slice_cols(y, cut, bundle.feature_width))
 
 
-def merge(public_part: Tensor, privacy_part: Tensor, bundle: ModelBundle | None = None) -> Tensor:
-    """Concatenate public-then-privacy back into a full feature vector."""
+def merge(public_part: Tensor, privacy_part: Tensor, bundle: ModelBundle) -> Tensor:
+    """Concatenate public-then-privacy back into a full feature vector of `bundle`."""
     if public_part.data.ndim != 2 or privacy_part.data.ndim != 2:
         raise ValueError("merge expects 2-D (batch, width) tensors")
-    if bundle is not None:
-        total = public_part.data.shape[1] + privacy_part.data.shape[1]
-        if total != bundle.feature_width:
-            raise ValueError(
-                f"merge widths {public_part.data.shape[1]}+{privacy_part.data.shape[1]} "
-                f"!= feature width {bundle.feature_width}")
-        if privacy_part.data.shape[1] != bundle.privacy_width:
-            raise ValueError(
-                f"privacy part has width {privacy_part.data.shape[1]}, "
-                f"expected {bundle.privacy_width} (argument order is public, privacy)")
+    total = public_part.data.shape[1] + privacy_part.data.shape[1]
+    if total != bundle.feature_width:
+        raise ValueError(
+            f"merge widths {public_part.data.shape[1]}+{privacy_part.data.shape[1]} "
+            f"!= feature width {bundle.feature_width}")
+    if privacy_part.data.shape[1] != bundle.privacy_width:
+        raise ValueError(
+            f"privacy part has width {privacy_part.data.shape[1]}, "
+            f"expected {bundle.privacy_width} (argument order is public, privacy)")
     return concat([public_part, privacy_part], axis=1)
 
 

@@ -117,15 +117,6 @@ class DiscreteDistributionPair:
                 raise ValueError(f"{name} sums to {p.sum()!r}, not 1")
 
 
-def optimal_discriminator(pair: DiscreteDistributionPair, bin_index: int) -> float:
-    """p_r / (p_r + p_e) at one bin: the loss-minimizing discriminator value."""
-    pr = pair.p_r[bin_index]
-    pe = pair.p_e[bin_index]
-    if pr + pe == 0.0:
-        raise ValueError(f"both densities are zero at bin {bin_index}")
-    return float(pr / (pr + pe))
-
-
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
     mask = p > 0.0
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))

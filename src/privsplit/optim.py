@@ -23,10 +23,10 @@ class Adam:
     flat gradient buffer, which :func:`~privsplit.autodiff.backward` fills in
     place, so after a backward pass each ``grad`` *is* a view of that buffer
     and a step reads it without a copy. Only a ``grad`` set some other way
-    is gathered into the buffer first (None counts as zero). The optimizer
-    owns gradients until :meth:`release`, which unbinds them from every
-    trained tensor, so the buffer dies with the optimizer and the tensors
-    keep only their weights.
+    is gathered into the buffer first (None counts as zero). The trained
+    tensors hold views of that buffer, so it lives as long as they do; hand
+    trained weights on in fresh tensors (``models.frozen``) and the buffer
+    dies with the optimizer and the tensors it trained.
 
     A step then walks the buffer in blocks of ``_BLOCK`` elements. On each
     block it runs the bias-corrected Adam update (Kingma & Ba, arXiv
@@ -75,15 +75,6 @@ class Adam:
         for start in range(0, self._flat.size, _BLOCK):
             block = slice(start, start + _BLOCK)
             self._update_block(self._flat[block], g[block], self.m[block], self.v[block], t)
-
-    def release(self) -> None:
-        """Set every trained tensor's ``grad`` and ``grad_buffer`` to None.
-
-        Call it once training ends: a tensor's views would otherwise keep the
-        flat gradient buffer alive as long as its weights.
-        """
-        for p in self.params:
-            p.grad = p.grad_buffer = None
 
     def _update_block(self, params: np.ndarray, g: np.ndarray, m: np.ndarray,
                       v: np.ndarray, t: int) -> None:

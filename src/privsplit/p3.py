@@ -17,12 +17,12 @@ products, not one 64-term sum over three-way products.
 The codec works on a stack of images: a uint8 array of shape
 (n, height, width, channels), whose channels and images are stacked along
 the block-row axis of the DCT. A single :class:`Image` is a stack of one, so
-:func:`p3_encode`, :func:`p3_decode` and :func:`quantized_reference` run
-the same code as :func:`p3_public_stack`, which returns the public images
-of a whole stack without building their secrets. A stack gives each image
-bitwise what its single call gives: ``@`` multiplies every block on its
-own, through the same 8x8 products with the same strides, so no sum mixes
-values of two blocks or depends on where a block sits in the stack.
+:func:`p3_encode` runs the same code as :func:`p3_public_stack`, which
+returns the public images of a whole stack without building their secrets.
+A stack gives each image bitwise what its single call gives: ``@``
+multiplies every block on its own, through the same 8x8 products with the
+same strides, so no sum mixes values of two blocks or depends on where a
+block sits in the stack.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ def _dct_matrix() -> np.ndarray:
 
 
 DCT8 = _dct_matrix()
-
-
-class P3PackageError(ValueError):
-    pass
 
 
 @dataclass
@@ -137,12 +133,6 @@ def _public_mask(coeffs: np.ndarray, threshold: int) -> np.ndarray:
     return keep
 
 
-def quantized_reference(img: Image) -> Image:
-    """Round trip through the quantized codec with nothing removed."""
-    coeffs = _quantize_image(img.pixels[None])
-    return Image.from_array(_dequantize_to_image(coeffs, 1, img.height, img.width)[0])
-
-
 def p3_public_stack(pixels: np.ndarray, threshold: int) -> np.ndarray:
     """The public images of an (n, h, w, c) uint8 stack, without their secrets."""
     coeffs = _quantize_image(pixels)
@@ -174,21 +164,6 @@ def p3_encode(img: Image, threshold: int) -> P3Package:
     )
 
 
-def p3_decode(pkg: P3Package) -> Image:
-    """Reinsert the secret coefficients and invert the codec."""
-    coeffs = pkg.public_coefficients.copy()
-    expected = (pkg.channels, pkg.block_rows, pkg.block_cols, 8, 8)
-    if coeffs.shape != expected:
-        raise P3PackageError(f"coefficient array shape {coeffs.shape} != {expected}")
-    flat = coeffs.reshape(-1, 64)
-    for block_id, coef_id, value in pkg.secret:
-        if not (0 <= block_id < flat.shape[0] and 0 <= coef_id < 64):
-            raise P3PackageError(f"secret entry ({block_id}, {coef_id}) outside block grid")
-        flat[block_id, coef_id] = value
-    pixels = _dequantize_to_image(flat.reshape(expected), 1, pkg.height, pkg.width)
-    return Image.from_array(pixels[0])
-
-
 def serialize_secret(pkg: P3Package) -> bytes:
     """Little-endian secret stream.
 
@@ -200,22 +175,6 @@ def serialize_secret(pkg: P3Package) -> bytes:
     for block_id, coef_id, value in pkg.secret:
         out.append(_RECORD.pack(block_id, coef_id, value))
     return b"".join(out)
-
-
-def deserialize_secret(blob: bytes) -> tuple[dict, list[tuple[int, int, int]]]:
-    if len(blob) < _HEADER.size:
-        raise P3PackageError("secret stream shorter than its header")
-    magic, version, width, height, channels, threshold = _HEADER.unpack_from(blob, 0)
-    if magic != SECRET_MAGIC:
-        raise P3PackageError(f"bad secret magic {magic!r}")
-    if version != SECRET_VERSION:
-        raise P3PackageError(f"unsupported secret version {version}")
-    body = blob[_HEADER.size:]
-    if len(body) % _RECORD.size != 0:
-        raise P3PackageError("secret stream has a truncated record")
-    entries = [_RECORD.unpack_from(body, off) for off in range(0, len(body), _RECORD.size)]
-    meta = {"width": width, "height": height, "channels": channels, "threshold": threshold}
-    return meta, [(int(b), int(c), int(v)) for b, c, v in entries]
 
 
 def secret_proportion(pkg: P3Package) -> float:

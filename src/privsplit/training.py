@@ -208,13 +208,16 @@ def train(dataset, config: TrainConfig,
           snapshot_iters: Iterable[int] = (),
           snapshot_fn: Callable[[int, ModelBundle], None] | None = None,
           ) -> tuple[ModelBundle, TrainHistory]:
-    """Run `config.iterations` training iterations and return the models.
+    """Run `config.iterations` training iterations and return the trained models.
 
-    `snapshot_fn(iteration, view)` fires whenever the number of completed
-    iterations hits one of `snapshot_iters` (0 means the initial state).
-    `view` is :meth:`~privsplit.models.ModelBundle.detached`: it shares the
-    trained weights as they stand, and its forward passes record no graph,
-    so a large panel keeps no activation alive. It must not be trained.
+    The models come back as a :meth:`~privsplit.models.ModelBundle.detached`
+    view: the trained weights in tensors that need no gradient, so their
+    forward passes record no graph, and the optimizer, its gradient buffer
+    and the trained tensors all die when this returns. They are for
+    inference and checkpoints; they must not be trained further.
+    `snapshot_fn(iteration, view)` fires with that same view whenever the
+    number of completed iterations hits one of `snapshot_iters` (0 means the
+    initial state), and sees the weights as they stand then.
     """
     features = _features_of(dataset)
     if features.shape[1] != config.input_width:
@@ -275,8 +278,7 @@ def train(dataset, config: TrainConfig,
         history.append(i, *step(i, Tensor(features[idx])))
         snapshot(i + 1)
 
-    opt.release()
-    return bundle, history
+    return view, history
 
 
 # ---------------------------------------------------------------------------

@@ -7,28 +7,53 @@ from privsplit.autodiff import (
     Graph,
     NonFiniteError,
     Tensor,
-    activation,
+    _accumulate,
+    _checked_product,
+    _elementwise,
+    _op,
     add,
     backward,
     clamp,
     concat,
     dense,
-    exp,
     grad_check,
     log,
-    matmul,
     mse,
     mul,
     neg,
-    relu,
     sigmoid,
     slice_cols,
     softmax_cross_entropy,
     sub,
-    tanh,
     tmean,
     tsum,
 )
+
+
+# The separate ops that `dense` fuses: the product, then `add` and an
+# activation. `dense` is checked against this chain; the models use only `dense`.
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ValueError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
+    out_data = _checked_product(a, b, "matmul")
+
+    def backprop(out_grad):
+        if a.requires_grad:
+            _accumulate(a, out_grad @ b.data.T, owned=True)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ out_grad, owned=True)
+
+    return _op(out_data, (a, b), backprop)
+
+
+def tanh(a: Tensor) -> Tensor:
+    return _elementwise(a, "tanh")
+
+
+def relu(a: Tensor) -> Tensor:
+    return _elementwise(a, "relu")
 
 
 def rand_tensor(rng, shape, requires_grad=True):
@@ -132,11 +157,7 @@ class TestActivations:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown activation"):
-            activation(Tensor([0.0]), "softplus")
-
-    def test_dispatch_matches_direct(self):
-        x = Tensor([[-1.0, 0.5, 2.0]])
-        assert np.array_equal(activation(x, "tanh").data, tanh(x).data)
+            dense(Tensor([[0.0]]), Tensor([[1.0]]), Tensor([0.0]), "softplus")
 
 
 class TestDense:
@@ -154,7 +175,7 @@ class TestDense:
 
         def chain(x, w, b):
             h = add(matmul(x, w), b)
-            return h if act is None else activation(h, act)
+            return h if act is None else _elementwise(h, act)
 
         fused = run(lambda x, w, b: dense(x, w, b, act))
         for got, want in zip(fused, run(chain)):
@@ -257,7 +278,7 @@ class TestGradientOwnership:
         err = dense(x, w, b, "tanh") - Tensor(np.ones((4, 2)))
         loss = tmean(err * err)
         graph = Graph(loss)
-        backward(loss, graph)
+        backward(loss)
         interior = [n for n in graph.nodes if n._parents and n is not loss]
         assert len(interior) == 3
         assert all(n.grad is None for n in interior)
@@ -521,12 +542,10 @@ DTYPE_CASES = {
     "tanh": lambda leaf: tanh(leaf(3, 4)),
     "relu": lambda leaf: relu(leaf(3, 4)),
     "sigmoid": lambda leaf: sigmoid(leaf(3, 4)),
-    "activation": lambda leaf: activation(leaf(3, 4), "relu"),
     "dense": lambda leaf: dense(leaf(3, 4), leaf(4, 2), leaf(2)),
     "dense-tanh": lambda leaf: dense(leaf(3, 4), leaf(4, 2), leaf(2), "tanh"),
     "dense-relu": lambda leaf: dense(leaf(3, 4), leaf(4, 2), leaf(2), "relu"),
     "dense-sigmoid": lambda leaf: dense(leaf(3, 4), leaf(4, 2), leaf(2), "sigmoid"),
-    "exp": lambda leaf: exp(leaf(3, 4)),
     "log": lambda leaf: log(sigmoid(leaf(3, 4))),
     "mse": lambda leaf: mse(leaf(3, 4), leaf(3, 4)),
     "clamp": lambda leaf: clamp(leaf(3, 4), -0.5, 0.5),

@@ -359,6 +359,9 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, command, text, messa
     assert not (tmp_path / "run").exists()
 
 
+TINY_ATTACK = "[data]\nkind = tiny\nper_class = 20\n\n[attack]\niterations = 5\n"
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("train-toy", "[attack]\nbatch_size = 0\n", "error: attack batch_size must be at least 1"),
     ("sweep-proportion", "[attack]\niterations = 0\n", "error: attack iterations must be at least 1"),
@@ -366,8 +369,15 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, command, text, messa
     ("train-toy", "[train]\nbeta1 = 1.8\n", "error: beta1 must be in [0, 1)"),
     ("train-toy", "[train]\nnoise_std = -1\n", "error: noise_std must be finite and non-negative"),
     ("train-toy", "[attack]\nseed = -1\n", "error: attack seed must be non-negative"),
+    ("attack", TINY_ATTACK + "methods = pixelate\npixelate_factor = 0\n",
+     "error: attack.pixelate_factor: pixelation factor must be >= 1, got 0"),
+    ("attack", TINY_ATTACK + "methods = blur\nblur_radius = -1\n",
+     "error: attack.blur_radius: blur radius must be >= 0, got -1"),
+    ("train-toy", "[plot]\npoints_per_cluster = -5\n",
+     "error: plot.points_per_cluster must be non-negative, got -5"),
+    ("sweep-proportion", "[sweep]\nproportions =\n", "error: sweep.proportions names no proportion"),
 ], ids=["attack-batch-size", "sweep-attack-iterations", "attack-alpha", "beta1", "noise-std",
-        "attack-seed"])
+        "attack-seed", "pixelate-factor", "blur-radius", "plot-points", "sweep-no-proportions"])
 def test_invalid_run_config_exits_1_before_writing_anything(tmp_path, capsys, command, text,
                                                             message):
     assert run_with_config(tmp_path, text, command) == 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from privsplit import evaluation
+from privsplit.autodiff import Tensor
 from privsplit.datasets import ClusterSpec, gen_toy_clusters
 from privsplit.evaluation import (
     AttackConfig,
@@ -118,7 +119,7 @@ class TestProbeDtype:
     @pytest.fixture
     def step_dtypes(self, monkeypatch):
         """Per probe Adam step, the dtypes of the weights, gradients and Adam's
-        buffers, read as it steps: the probe releases its gradients when it ends."""
+        buffers, read as it steps: the gradients die with the probe's optimizer."""
         steps = []
 
         class RecordingAdam(evaluation.Adam):
@@ -160,6 +161,14 @@ class TestProbeDtype:
         (buffer,) = buffers
         assert buffer() is None
         assert all(layer.w.grad is None for layer in layers)
+
+    def test_trained_classifier_needs_no_gradient_and_records_no_graph(self):
+        ds = toy(seed=12, per=20)
+        layers = evaluation._train_classifier(ds.features, ds.labels, ds.class_count,
+                                              AttackConfig(iterations=2, seed=2))
+        assert not any(t.requires_grad for layer in layers for t in (layer.w, layer.b))
+        logits = evaluation._mlp_forward(layers, Tensor(ds.features))
+        assert logits._parents == () and not logits.requires_grad
 
     def test_float32_attack_agrees_with_float64_within_one_heldout_sample(self, monkeypatch):
         ds = toy(seed=14, per=40)
@@ -240,7 +249,7 @@ class TestSeparability:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            separability(np.zeros((0, 2)), np.zeros((3, 2)))
+            separability(np.zeros((0, 2)), np.zeros((3, 2)), FAST)
 
 
 class TestCompareMethods:

@@ -101,7 +101,7 @@ class TestEncodeMerge:
             assert np.array_equal(merged.data, raw)
 
     def test_merge_of_zeros(self):
-        out = merge(Tensor(np.zeros((2, 126))), Tensor(np.zeros((2, 2))))
+        out = merge(Tensor(np.zeros((2, 126))), Tensor(np.zeros((2, 2))), toy_bundle())
         assert np.array_equal(out.data, np.zeros((2, 128)))
 
     def test_merge_swapped_order_rejected(self):

@@ -12,7 +12,6 @@ from privsplit.objectives import (
     generator_adversarial_loss,
     jsd,
     msednet_loss,
-    optimal_discriminator,
     reconstruction_loss,
 )
 from privsplit.optim import Adam
@@ -161,25 +160,6 @@ class TestDistributionPair:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="equal lengths"):
             DiscreteDistributionPair([0, 1, 2], [0.5, 0.5], [0.5, 0.5])
-
-
-class TestOptimalDiscriminator:
-    def test_equal_densities_give_half(self):
-        pair = DiscreteDistributionPair([0, 1], [0.3, 0.7], [0.3, 0.7])
-        assert optimal_discriminator(pair, 0) == 0.5
-
-    def test_hand_value(self):
-        pair = DiscreteDistributionPair([0, 1], [0.2, 0.8], [0.6, 0.4])
-        assert optimal_discriminator(pair, 0) == pytest.approx(0.25, abs=1e-15)
-
-    def test_boundary_when_one_side_is_empty(self):
-        pair = DiscreteDistributionPair([0, 1], [1.0, 0.0], [0.0, 1.0])
-        assert optimal_discriminator(pair, 0) == 1.0
-
-    def test_both_zero_rejected(self):
-        pair = DiscreteDistributionPair([0, 1, 2], [0.5, 0.5, 0.0], [0.6, 0.4, 0.0])
-        with pytest.raises(ValueError, match="zero"):
-            optimal_discriminator(pair, 2)
 
 
 class TestJsd:

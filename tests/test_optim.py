@@ -1,4 +1,3 @@
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -181,22 +180,6 @@ class TestGradientOwnership:
         ref_b, _ = adam_step(ref_b, b.grad, AdamState.init(3, alpha=0.01))
         assert np.array_equal(w.data.reshape(-1), ref_w)
         assert np.array_equal(b.data, ref_b)
-
-
-    def test_release_unbinds_the_gradients_and_the_buffer_dies_with_the_optimizer(self):
-        w, b, loss = dense_layer()
-        opt = Adam([w, b])
-        backward(loss())
-        opt.step()
-        trained = w.data.copy()
-        buffer = weakref.ref(opt._grad)
-        opt.release()
-        assert all(p.grad is None and p.grad_buffer is None for p in (w, b))
-        del opt
-        assert buffer() is None
-        assert np.array_equal(w.data, trained)
-        backward(loss())  # a later pass gets fresh gradients
-        assert w.grad is not None and w.grad_buffer is None
 
 
 def assert_flat_adam_matches_adam_step(shapes, dtype=np.float64):

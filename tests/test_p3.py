@@ -14,19 +14,51 @@ from privsplit.p3 import (
     QUANT_TABLE,
     SECRET_MAGIC,
     SECRET_VERSION,
-    P3PackageError,
-    deserialize_secret,
-    p3_decode,
+    P3Package,
     p3_encode,
     p3_public_stack,
-    quantized_reference,
     secret_proportion,
     serialize_secret,
+    _HEADER,
+    _RECORD,
+    _dequantize_to_image,
     _from_blocks,
     _public_mask,
     _quantize_image,
     _to_blocks,
 )
+
+
+# The inverse codec: the references `p3_encode` and `serialize_secret` are
+# checked against. No command reads a secret back, so they live here.
+
+
+def quantized_reference(img: Image) -> Image:
+    """Round trip through the quantized codec with nothing removed."""
+    coeffs = _quantize_image(img.pixels[None])
+    return Image.from_array(_dequantize_to_image(coeffs, 1, img.height, img.width)[0])
+
+
+def p3_decode(pkg: P3Package) -> Image:
+    """Reinsert the secret coefficients and invert the codec."""
+    shape = (pkg.channels, pkg.block_rows, pkg.block_cols, 8, 8)
+    assert pkg.public_coefficients.shape == shape
+    flat = pkg.public_coefficients.reshape(-1, 64).copy()
+    for block_id, coef_id, value in pkg.secret:
+        flat[block_id, coef_id] = value
+    coeffs = flat.reshape(shape)
+    return Image.from_array(_dequantize_to_image(coeffs, 1, pkg.height, pkg.width)[0])
+
+
+def deserialize_secret(blob: bytes) -> tuple[dict, list[tuple[int, int, int]]]:
+    """(header fields, records) of a stream that `serialize_secret` wrote."""
+    magic, version, width, height, channels, threshold = _HEADER.unpack_from(blob, 0)
+    assert (magic, version) == (SECRET_MAGIC, SECRET_VERSION)
+    body = blob[_HEADER.size:]
+    assert len(body) % _RECORD.size == 0
+    entries = [_RECORD.unpack_from(body, off) for off in range(0, len(body), _RECORD.size)]
+    meta = {"width": width, "height": height, "channels": channels, "threshold": threshold}
+    return meta, [(int(b), int(c), int(v)) for b, c, v in entries]
 
 
 def smooth_image(seed=0, size=32, channels=1):
@@ -116,18 +148,6 @@ class TestDecode:
         bare = replace(pkg, secret=[])
         assert np.array_equal(p3_decode(bare).pixels, pkg.public_image.pixels)
 
-    def test_inconsistent_metadata_rejected(self):
-        pkg = p3_encode(smooth_image(seed=7), 1)
-        bad = replace(pkg, block_rows=pkg.block_rows + 1)
-        with pytest.raises(P3PackageError, match="shape"):
-            p3_decode(bad)
-
-    def test_out_of_range_secret_entry_rejected(self):
-        pkg = p3_encode(smooth_image(seed=8), 1)
-        bad = replace(pkg, secret=pkg.secret + [(10**6, 0, 5)])
-        with pytest.raises(P3PackageError, match="outside"):
-            p3_decode(bad)
-
 
 class TestSecretWireFormat:
     def test_round_trip(self):
@@ -141,16 +161,6 @@ class TestSecretWireFormat:
         pkg = p3_encode(smooth_image(seed=10), 5)
         blob = serialize_secret(pkg)
         assert (len(blob) - 16) == 7 * len(pkg.secret)
-
-    def test_truncated_record_rejected(self):
-        blob = serialize_secret(p3_encode(smooth_image(seed=11), 5))
-        with pytest.raises(P3PackageError, match="truncated"):
-            deserialize_secret(blob[:-3])
-
-    def test_bad_magic_rejected(self):
-        blob = serialize_secret(p3_encode(smooth_image(seed=12), 5))
-        with pytest.raises(P3PackageError, match="magic"):
-            deserialize_secret(b"XXXX" + blob[4:])
 
 
 class TestSecretProportion:
@@ -259,13 +269,3 @@ class TestProperties:
                         "channels": img.channels, "threshold": threshold}
         decoded = p3_decode(replace(pkg, secret=entries))
         assert np.array_equal(decoded.pixels, quantized_reference(img).pixels)
-
-    @settings(max_examples=300, deadline=None)
-    @given(blob=st.tuples(st.sampled_from([b"", SECRET_MAGIC,
-                                            SECRET_MAGIC + bytes([SECRET_VERSION])]),
-                          st.binary(max_size=64)).map(b"".join))
-    def test_deserialize_raises_only_p3_package_error(self, blob):
-        try:
-            deserialize_secret(blob)
-        except P3PackageError:
-            pass

@@ -116,12 +116,13 @@ class TestTrainBasics:
         assert opt.step_count == 5
         trained = (bundle.all_parameters() if ablation == "full"
                    else bundle.generator_parameters())  # only full trains D
-        assert [id(p) for p in opt.params] == [id(p) for p in trained]
+        # the returned models hold the very weight arrays the optimizer stepped
+        assert [id(p.data) for p in opt.params] == [id(p.data) for p in trained]
 
     @pytest.mark.parametrize("ablation", ["full", "no_collaborative", "msednet"])
     def test_trained_gradients_live_in_the_optimizers_buffer(self, recorded_optimizers,
                                                                ablation):
-        # read after each step, since train releases them once it ends
+        # read after each step, since they die with the optimizer when train returns
         in_buffer = []
 
         def check(done, bundle):
@@ -275,6 +276,32 @@ class TestSnapshotMemory:
               snapshot_iters={0, 2}, snapshot_fn=panel)
         assert len(peaks) == 2
         assert max(peaks) < 8 * 2**20
+
+
+class TestReturnedModels:
+    @pytest.mark.parametrize("ablation", training.ABLATIONS)
+    def test_trained_models_need_no_gradient_and_record_no_graph(self, ablation):
+        bundle, _ = train(small_blobs(), quick_config(ablation=ablation, iterations=2))
+        assert not any(p.requires_grad for p in bundle.all_parameters())
+        x = Tensor(small_blobs()[:8])
+        for out in (reconstruct(x, bundle), encrypt(x, bundle, NoiseSpec(seed=1))):
+            assert out._parents == () and not out.requires_grad
+
+    def test_whole_image_set_reconstruct_stays_below_10_mib(self):
+        # the CLI's whole-dataset pass on what train returns: 800 x 1024 rows.
+        # 9.38 MiB on frozen weights, 10.94 MiB while the returned weights
+        # required grad and the pass recorded a graph
+        ds = make_tiny_image_dataset(seed=3)
+        cfg = TrainConfig(iterations=2, seed=3, input_width=ds.width, use_perceptual=True)
+        bundle, _ = train(ds.features[ds.train_idx], cfg)
+        x = Tensor(ds.features)
+        tracemalloc.start()
+        try:
+            reconstruct(x, bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestAblations:
