@@ -159,6 +159,13 @@ class TestActivations:
         with pytest.raises(ValueError, match="unknown activation"):
             dense(Tensor([[0.0]]), Tensor([[1.0]]), Tensor([0.0]), "softplus")
 
+    def test_dispatch_matches_direct(self):
+        # dense picks its activation by name; through an identity layer it is the op itself
+        x = Tensor([[-1.0, 0.5, 2.0]])
+        eye, zero = Tensor(np.eye(3)), Tensor(np.zeros(3))
+        for kind in ("tanh", "relu", "sigmoid"):
+            assert np.array_equal(dense(x, eye, zero, kind).data, _elementwise(x, kind).data)
+
 
 class TestDense:
     @pytest.mark.parametrize("act", ["tanh", "relu", "sigmoid", None])

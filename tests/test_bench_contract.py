@@ -5,6 +5,7 @@ traced benchmark run (``perfbench/run.py --trace 1``), so a rename or a
 deletion in ``src`` that would do so fails here first.
 """
 
+import importlib
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -20,3 +21,26 @@ def test_every_tracer_target_resolves(monkeypatch):
         assert tr.missing == {}
     finally:
         tr.uninstall()
+
+
+def test_uninstall_puts_every_original_back(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    def resolve(target):
+        *path, last = target.attr.split(".")
+        owner = importlib.import_module(target.module)
+        for part in path:
+            owner = getattr(owner, part)
+        return owner, last
+
+    targets = [resolve(t) for t in tracer.TARGETS]
+    originals = [getattr(owner, last) for owner, last in targets]
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        assert all(getattr(owner, last) is not fn
+                   for (owner, last), fn in zip(targets, originals))
+    finally:
+        tr.uninstall()
+    assert all(getattr(owner, last) is fn for (owner, last), fn in zip(targets, originals))

@@ -13,6 +13,7 @@ from privsplit.models import (
     encode,
     encrypt,
     fake_privacy,
+    frozen,
     merge,
     perceptual_features,
     reconstruct,
@@ -174,6 +175,26 @@ class TestReconstructEncrypt:
             x = Tensor(np.zeros((3, input_width)))
             assert reconstruct(x, bundle).shape == (3, input_width)
             assert encrypt(x, bundle, NoiseSpec(seed=0)).shape == (3, input_width)
+
+
+class TestFrozen:
+    def test_same_arrays_in_tensors_that_need_no_gradient(self):
+        layers = toy_bundle().encoder
+        for old, new in zip(layers, frozen(layers), strict=True):
+            for a, b in ((old.w, new.w), (old.b, new.b)):
+                assert b is not a and b.data is a.data and not b.requires_grad
+        assert all(t.requires_grad for layer in layers for t in (layer.w, layer.b))
+
+    def test_detached_view_sees_in_place_updates_and_records_no_graph(self):
+        bundle = toy_bundle()
+        view = bundle.detached()
+        x = Tensor(np.random.default_rng(4).standard_normal((6, 2)))
+        before = reconstruct(x, view).data.copy()
+        bundle.decoder[-1].b.data += 1.0  # in place, as an optimizer step writes
+        after = reconstruct(x, view)
+        assert not np.array_equal(after.data, before)
+        assert np.array_equal(after.data, reconstruct(x, bundle).data)
+        assert after._parents == () and not after.requires_grad
 
 
 class TestDiscriminate:

@@ -1,9 +1,11 @@
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from privsplit.autodiff import Tensor, backward, dense, tsum
+from privsplit.models import Layer, frozen
 from privsplit.optim import Adam
 
 
@@ -180,6 +182,19 @@ class TestGradientOwnership:
         ref_b, _ = adam_step(ref_b, b.grad, AdamState.init(3, alpha=0.01))
         assert np.array_equal(w.data.reshape(-1), ref_w)
         assert np.array_equal(b.data, ref_b)
+
+    def test_frozen_copies_keep_the_trained_weights_and_the_buffer_dies_with_the_optimizer(self):
+        w, b, loss = dense_layer()
+        opt = Adam([w, b])
+        backward(loss())
+        opt.step()
+        trained = w.data.copy()
+        (layer,) = frozen([Layer(w, b)])
+        buffer = weakref.ref(opt._grad)
+        del opt, w, b, loss
+        assert buffer() is None
+        assert layer.w.grad_buffer is None and not layer.w.requires_grad
+        assert np.array_equal(layer.w.data, trained)
 
 
 def assert_flat_adam_matches_adam_step(shapes, dtype=np.float64):

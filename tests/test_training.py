@@ -25,6 +25,7 @@ from privsplit.models import (
     NoiseSpec,
     build_models,
     decode,
+    discriminate,
     encrypt,
     perceptual_features,
     reconstruct,
@@ -286,6 +287,24 @@ class TestReturnedModels:
         x = Tensor(small_blobs()[:8])
         for out in (reconstruct(x, bundle), encrypt(x, bundle, NoiseSpec(seed=1))):
             assert out._parents == () and not out.requires_grad
+
+    def test_trained_discriminator_and_features_record_no_graph(self):
+        bundle, _ = train(small_blobs(), quick_config(iterations=2))
+        x = Tensor(small_blobs()[:8])
+        for out in (discriminate(x, bundle), perceptual_features(x, bundle)):
+            assert out._parents == () and not out.requires_grad
+
+    def test_snapshots_see_the_weights_as_they_stand_then(self):
+        x = Tensor(small_blobs()[:8])
+        seen = {}
+
+        def panel(done, view):
+            seen[done] = reconstruct(x, view).data.copy()
+
+        bundle, _ = train(small_blobs(), quick_config(iterations=3), snapshot_iters={0, 3},
+                          snapshot_fn=panel)
+        assert not np.array_equal(seen[0], seen[3])
+        assert np.array_equal(seen[3], reconstruct(x, bundle).data)
 
     def test_whole_image_set_reconstruct_stays_below_10_mib(self):
         # the CLI's whole-dataset pass on what train returns: 800 x 1024 rows.
