@@ -64,8 +64,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# Probabilities are kept strictly inside (0, 1) so log never sees 0 or 1.
-# Shared by the sigmoid op here and the cross-entropy losses downstream.
+# Sigmoid clamps its output into [PROB_EPS, 1 - PROB_EPS], so the log in the
+# cross-entropy losses downstream never sees 0 or 1: it is the one clamp.
 PROB_EPS = 1e-7
 
 _FLOAT32 = np.dtype(np.float32)
@@ -310,7 +310,8 @@ def neg(a: Tensor) -> Tensor:
 
 
 # Each activation is (forward(x, out=None), grad(y, out_grad)); the gradient
-# is written in terms of the output y, so the input need not be kept.
+# is written in terms of the output y, so the input need not be kept. tanh
+# runs between layers and sigmoid ends the discriminator.
 
 
 def _tanh_grad(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -318,14 +319,6 @@ def _tanh_grad(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
     np.subtract(1.0, d, out=d)
     d *= grad
     return d
-
-
-def _relu_forward(x: np.ndarray, out=None) -> np.ndarray:
-    return np.maximum(x, _const(0.0, x), out=out)
-
-
-def _relu_grad(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    return (y > 0.0) * grad
 
 
 def _sigmoid_forward(x: np.ndarray, out=None) -> np.ndarray:
@@ -349,16 +342,8 @@ def _sigmoid_grad(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 _ACTIVATIONS = {
     "tanh": (np.tanh, _tanh_grad),
-    "relu": (_relu_forward, _relu_grad),
     "sigmoid": (_sigmoid_forward, _sigmoid_grad),
 }
-
-
-def _activation_fns(kind: str):
-    try:
-        return _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation kind {kind!r}") from None
 
 
 def _elementwise(a: Tensor, kind: str) -> Tensor:
@@ -393,7 +378,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
         raise ValueError(f"dense bias shape {b.data.shape}, expected ({w.data.shape[1]},)")
     grad_of = None
     if act is not None:
-        forward, grad_of = _activation_fns(act)
+        if act not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation kind {act!r}")
+        forward, grad_of = _ACTIVATIONS[act]
     y = _checked_product(x, w, "dense")
     y += b.data
     if act is not None:
@@ -422,17 +409,6 @@ def log(a: Tensor) -> Tensor:
             _accumulate(a, out_grad / a.data, owned=True)
 
     return _op(np.log(a.data), (a,), backprop)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip values into [lo, hi]; gradient passes through the interior only."""
-    mask = (a.data >= lo) & (a.data <= hi)
-
-    def backprop(out_grad):
-        if a.requires_grad:
-            _accumulate(a, mask * out_grad, owned=True)
-
-    return _op(np.clip(a.data, _const(lo, a.data), _const(hi, a.data)), (a,), backprop)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -481,20 +457,17 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     return _op(np.asarray(sq.mean()), (a, b), backprop)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join 2-D tensors side by side (along columns)."""
     parts = list(parts)
-    widths = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + widths)
+    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
 
     def backprop(out_grad):
         for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                if axis == 1:
-                    _accumulate(p, out_grad[:, start:stop])
-                else:
-                    _accumulate(p, out_grad[start:stop])
+                _accumulate(p, out_grad[:, start:stop])
 
-    return _op(np.concatenate([p.data for p in parts], axis=axis), parts, backprop)
+    return _op(np.concatenate([p.data for p in parts], axis=1), parts, backprop)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:

@@ -557,8 +557,8 @@ def _mean_secret_proportion(dataset: LabeledDataset, threshold: int,
 
 def cmd_attack(config: dict, outdir: Path, seed: int) -> int:
     dataset = dataset_from(config, seed)
-    noise_std = _get(config, "train", "noise_std", TrainConfig.noise_std, float)
-    methods = build_methods(config, dataset, noise_std)
+    tcfg = _from_section(TrainConfig, config, "train", seed=seed, input_width=dataset.width)
+    methods = build_methods(config, dataset, tcfg.noise_std)
     acfg = attack_config_from(config, seed)
     write_run_files(outdir, "attack", config, seed)
     reports = compare_methods(dataset, methods, acfg, csv_path=outdir / "report.csv")
@@ -620,7 +620,7 @@ def cmd_report(run_dir: Path, out=None) -> int:
         found = True
         with open(path, newline="", encoding="ascii") as fh:
             rows = list(csv.reader(fh))
-        print(f"== {name} ({len(rows) - 1} rows)", file=out)
+        print(f"== {name} ({len(rows[1:])} rows)", file=out)
         if name == "history.csv" and len(rows) > 1:
             header, first, last = rows[0], rows[1], rows[-1]
             for col, a, b in zip(header[1:], first[1:], last[1:]):

@@ -5,11 +5,14 @@ into a public part and a small privacy part. Decoding the true pair gives
 the reconstruction; decoding the public part with a noise-corrupted privacy
 part gives the encrypted output. A five-layer MLP discriminator scores how
 reconstructed-looking a sample is, and a frozen random feature network
-provides the feature-space reconstruction term.
+provides the feature-space reconstruction term. That shape is the paper's
+and is fixed here: tanh between the layers of every network, and the
+discriminator's one output unit squashed by sigmoid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,21 +36,20 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.std < 0:
-            raise ValueError(f"noise std must be non-negative, got {self.std}")
+        if not (math.isfinite(self.std) and self.std >= 0):
+            raise ValueError(f"noise std must be finite and non-negative, got {self.std}")
 
 
 @dataclass
 class ModelConfig:
-    input_width: int = 2
-    feature_width: int = 128
-    privacy_width: int = 2
+    """Network widths and the initialization seed; ``TrainConfig`` holds the training defaults."""
+
+    input_width: int
+    feature_width: int
+    privacy_width: int
+    seed: int
     disc_hidden: int = 128
-    disc_layers: int = 5
-    hidden_activation: str = "tanh"
     perceptual_width: int = 64
-    use_perceptual: bool = False
-    seed: int = 0
 
 
 @dataclass
@@ -123,8 +125,9 @@ def _init_mlp(rng, widths: list[int], trainable: bool = True, dtype=np.float64) 
 def network_widths(config: ModelConfig) -> dict[str, list[int]]:
     """Layer widths of each network, input first.
 
-    Encoder in-fw-fw, decoder fw-fw-in, `disc_layers` fully-connected
-    discriminator layers ending in one unit, and a two-layer feature network.
+    Encoder in-fw-fw, decoder fw-fw-in, the paper's five-layer
+    discriminator (four hidden layers of `disc_hidden` units, then one
+    unit), and a two-layer feature network.
     """
     if not (0 < config.privacy_width < config.feature_width):
         raise ValueError(
@@ -134,9 +137,7 @@ def network_widths(config: ModelConfig) -> dict[str, list[int]]:
     return {
         "encoder": [config.input_width, fw, fw],
         "decoder": [fw, fw, config.input_width],
-        "discriminator": ([config.input_width]
-                          + [config.disc_hidden] * (config.disc_layers - 1)
-                          + [1]),
+        "discriminator": [config.input_width] + [config.disc_hidden] * 4 + [1],
         "perceptual": [config.input_width, config.perceptual_width, config.perceptual_width],
     }
 
@@ -158,13 +159,12 @@ def build_models(config: ModelConfig) -> ModelBundle:
     )
 
 
-def _mlp_forward(layers: list[Layer], x: Tensor, hidden: str = "tanh",
-                 final: str | None = None) -> Tensor:
-    """Dense layers with `hidden` between them and `final` (or none) after the last."""
+def _mlp_forward(layers: list[Layer], x: Tensor, final: str | None = None) -> Tensor:
+    """Dense layers with tanh between them and `final` (or none) after the last."""
     h = x
     last = len(layers) - 1
     for i, layer in enumerate(layers):
-        h = dense(h, layer.w, layer.b, hidden if i < last else final)
+        h = dense(h, layer.w, layer.b, "tanh" if i < last else final)
     return h
 
 
@@ -180,7 +180,7 @@ def encode(x: Tensor, bundle: ModelBundle) -> SplitFeature:
     the two parts back reproduces the raw encoder output exactly.
     """
     _check_width(x, bundle.input_width, "encode")
-    y = _mlp_forward(bundle.encoder, x, hidden=bundle.config.hidden_activation)
+    y = _mlp_forward(bundle.encoder, x)
     cut = bundle.feature_width - bundle.privacy_width
     return SplitFeature(public_part=slice_cols(y, 0, cut),
                         privacy_part=slice_cols(y, cut, bundle.feature_width))
@@ -199,7 +199,7 @@ def merge(public_part: Tensor, privacy_part: Tensor, bundle: ModelBundle) -> Ten
         raise ValueError(
             f"privacy part has width {privacy_part.data.shape[1]}, "
             f"expected {bundle.privacy_width} (argument order is public, privacy)")
-    return concat([public_part, privacy_part], axis=1)
+    return concat([public_part, privacy_part])
 
 
 def fake_privacy(privacy_part: Tensor, noise: NoiseSpec) -> Tensor:
@@ -213,7 +213,7 @@ def fake_privacy(privacy_part: Tensor, noise: NoiseSpec) -> Tensor:
 
 def decode(features: Tensor, bundle: ModelBundle) -> Tensor:
     _check_width(features, bundle.feature_width, "decode")
-    return _mlp_forward(bundle.decoder, features, hidden=bundle.config.hidden_activation)
+    return _mlp_forward(bundle.decoder, features)
 
 
 def reconstruct(x: Tensor, bundle: ModelBundle) -> Tensor:
@@ -232,8 +232,7 @@ def encrypt(x: Tensor, bundle: ModelBundle, noise: NoiseSpec) -> Tensor:
 def discriminate(x: Tensor, bundle: ModelBundle) -> Tensor:
     """Probability (strictly inside (0,1)) that each sample is a reconstruction."""
     _check_width(x, bundle.input_width, "discriminate")
-    return _mlp_forward(bundle.discriminator, x,
-                        hidden=bundle.config.hidden_activation, final="sigmoid")
+    return _mlp_forward(bundle.discriminator, x, final="sigmoid")
 
 
 def perceptual_features(x: Tensor, bundle: ModelBundle) -> Tensor:

@@ -16,29 +16,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import PROB_EPS, Tensor, as_tensor, clamp, log, mse, tmean
+from .autodiff import Tensor, as_tensor, log, mse, tmean
 
 LOG4 = math.log(4.0)
 
 
-def _clamped(p: Tensor) -> Tensor:
-    return clamp(p, PROB_EPS, 1.0 - PROB_EPS)
+def bce(p: Tensor, target: int) -> Tensor:
+    """Binary cross entropy -[t*ln(p) + (1-t)*ln(1-p)], elementwise, in p's dtype.
 
-
-def bce(p, target: int):
-    """Binary cross entropy -[t*ln(p) + (1-t)*ln(1-p)] with p clamped.
-
-    Returns a float for a float probability and a Tensor (elementwise, in
-    the probability's dtype) for a Tensor, so it serves both as a hand oracle
-    and inside the graph.
+    `p` must lie strictly inside (0, 1), as the discriminator's sigmoid
+    yields it (within [PROB_EPS, 1 - PROB_EPS]); it is not clamped again.
     """
     if target not in (0, 1):
         raise ValueError(f"bce target must be 0 or 1, got {target!r}")
-    if isinstance(p, Tensor):
-        q = _clamped(p)
-        return -log(q) if target == 1 else -log(Tensor(np.ones((), q.data.dtype)) - q)
-    q = min(max(float(p), PROB_EPS), 1.0 - PROB_EPS)
-    return -math.log(q) if target == 1 else -math.log(1.0 - q)
+    return -log(p) if target == 1 else -log(Tensor(np.ones((), p.data.dtype)) - p)
 
 
 def _batch(p, name: str) -> Tensor:
@@ -60,11 +51,12 @@ def generator_adversarial_loss(d_on_recon, d_on_encrypted) -> Tensor:
     return tmean(bce(d_r, 1)) + tmean(bce(d_e, 0))
 
 
-def reconstruction_loss(x_r, x, phi: Callable[[Tensor], Tensor] | None = None,
-                        lam: float = 0.01) -> tuple[Tensor, Tensor, Tensor]:
+def reconstruction_loss(x_r, x, phi: Callable[[Tensor], Tensor] | None,
+                        lam: float) -> tuple[Tensor, Tensor, Tensor]:
     """(pixel MSE, feature-space MSE, MSE + lam * feature MSE).
 
     `phi` is a frozen feature network; pass None to drop the feature term.
+    `lam` is ``TrainConfig.lam``.
     """
     x_r = as_tensor(x_r)
     x = as_tensor(x)

@@ -9,22 +9,24 @@ both networks' exact gradients, and ``privsplit check`` verifies them
 (:func:`objective`). One Adam step then updates every trained network: Adam is
 elementwise, so one optimizer over the union equals one per network bitwise.
 
-Checkpoint format, version 2: an uncompressed numpy ``.npz`` archive, read
+Checkpoint format, version 3: an uncompressed numpy ``.npz`` archive, read
 with ``allow_pickle=False``, written to exactly the path it is given.
 
 - ``header``: a uint8 array holding UTF-8 JSON with ``magic``
-  (``"privsplit-checkpoint"``), ``version`` (2), ``model_config`` (the
-  :class:`~privsplit.models.ModelConfig` fields), ``layers`` (the layer
-  count of each network) and ``history`` (the :class:`TrainHistory`
-  lists; ``null`` where an ablation has no adversarial term).
+  (``"privsplit-checkpoint"``), ``version`` (3), ``model_config`` (the
+  :class:`~privsplit.models.ModelConfig` fields: ``input_width``,
+  ``feature_width``, ``privacy_width``, ``seed``, ``disc_hidden`` and
+  ``perceptual_width``), ``layers`` (the layer count of each network) and
+  ``history`` (the :class:`TrainHistory` lists; ``null`` where an ablation
+  has no adversarial term).
 - ``<network>.<i>.w`` and ``<network>.<i>.b`` for ``network`` in encoder,
   decoder, discriminator and perceptual and layer ``i`` from 0: raw
   float64 weights of shape (fan_in, fan_out) and biases of shape
   (fan_out,), so values round-trip exactly.
 
-Loading checks that every ``model_config`` field holds exactly its
-annotated type, that ``hidden_activation`` names a known activation, and
-that every array is present, float64, finite and shaped as ``model_config``
+Loading checks that ``model_config`` holds exactly the fields, each of
+exactly its annotated type, that the layer counts agree with it, and that
+every array is present, float64, finite and shaped as ``model_config``
 implies (:func:`~privsplit.models.network_widths`), and that every history
 column is a list of equal length holding ints (``iterations``) or floats
 and ints (the losses; ``null`` only in ``l_d`` and ``l_g_ad``), no bools
@@ -47,7 +49,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, _activation_fns, backward
+from .autodiff import NonFiniteError, Tensor, backward
 from .models import (
     Layer,
     ModelBundle,
@@ -66,7 +68,7 @@ from .objectives import generator_adversarial_loss, msednet_loss, reconstruction
 from .optim import Adam
 
 CHECKPOINT_MAGIC = "privsplit-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _NETWORKS = ("encoder", "decoder", "discriminator", "perceptual")
 _ZIP_MAGIC = b"PK\x03\x04"
 
@@ -137,7 +139,6 @@ class TrainConfig:
             input_width=self.input_width,
             feature_width=self.feature_width,
             privacy_width=int(self.privacy_proportion * self.feature_width),
-            use_perceptual=self.use_perceptual,
             seed=model_seed,
         )
 
@@ -286,7 +287,7 @@ def train(dataset, config: TrainConfig,
 
 
 def save_checkpoint(bundle: ModelBundle, history: TrainHistory, path) -> None:
-    """Write a version-2 checkpoint (layout in the module docstring) to `path`."""
+    """Write a version-3 checkpoint (layout in the module docstring) to `path`."""
     arrays = {}
     for net in _NETWORKS:
         for i, layer in enumerate(getattr(bundle, net)):
@@ -305,7 +306,7 @@ def save_checkpoint(bundle: ModelBundle, history: TrainHistory, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelBundle, TrainHistory]:
-    """Read and validate a version-2 checkpoint written by :func:`save_checkpoint`.
+    """Read and validate a version-3 checkpoint written by :func:`save_checkpoint`.
 
     No tensor of the bundle requires grad, so its forward passes record no graph.
     """
@@ -375,7 +376,6 @@ def _checked_config(header: dict) -> tuple[ModelConfig, dict[str, list[int]]]:
     try:
         config = ModelConfig(**header["model_config"])
         _check_field_types(config)
-        _activation_fns(config.hidden_activation)
         widths = network_widths(config)
         counts = {net: header["layers"][net] for net in _NETWORKS}
     except (KeyError, TypeError, ValueError) as exc:

@@ -1,6 +1,7 @@
 import csv
 import errno
 import hashlib
+import json
 import os
 import struct
 import tempfile
@@ -109,6 +110,31 @@ def test_obfuscate_on_version_1_checkpoint_exits_1(trained_run, capsys):
     old.write_text('{"magic": "privsplit-checkpoint", "version": 1}')
     assert obfuscate(trained_run, old) == 1
     assert "version 1" in capsys.readouterr().err
+
+
+def test_obfuscate_on_version_2_checkpoint_exits_1(trained_run, capsys):
+    with np.load(trained_run / "run" / "checkpoint.npz", allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    header = json.loads(arrays["header"].tobytes())
+    header["version"] = 2
+    header["model_config"].update(disc_layers=5, hidden_activation="tanh", use_perceptual=True)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    old = trained_run / "v2.npz"
+    with open(old, "wb") as fh:
+        np.savez(fh, **arrays)
+    assert obfuscate(trained_run, old) == 1
+    assert capsys.readouterr().err.strip() == "error: checkpoint version 2, expected 3"
+
+
+@pytest.mark.parametrize("std", ["nan", "inf"])
+def test_obfuscate_with_non_finite_noise_std_exits_1_naming_it(trained_run, capsys, std):
+    out = trained_run / f"noise-{std}.pgm"
+    assert cli.main(["obfuscate", "--method", "model", "--input", str(trained_run / "in.pgm"),
+                     "--output", str(out), "--checkpoint",
+                     str(trained_run / "run" / "checkpoint.npz"), "--noise-std", std]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: noise std must be finite and non-negative, got {std}")
+    assert not out.exists()
 
 
 def test_sweep_with_invalid_proportion_exits_1_before_any_run(tmp_path, capsys):
@@ -269,6 +295,13 @@ def test_report_summarises_a_finished_train_toy_run(tmp_path, capsys):
                          for col, a, b in zip(header[1:], first[1:], last[1:])]
 
 
+@pytest.mark.parametrize("name", ["history.csv", "report.csv", "sweep.csv"])
+def test_report_counts_an_empty_file_as_0_rows(tmp_path, capsys, name):
+    (tmp_path / name).write_bytes(b"")
+    assert cli.main(["report", "--run", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"== {name} (0 rows)"]
+
+
 @pytest.mark.parametrize("make_dir", [True, False], ids=["empty", "absent"])
 def test_report_without_run_artifacts_exits_3(tmp_path, capsys, make_dir):
     run = tmp_path / "run"
@@ -376,8 +409,15 @@ TINY_ATTACK = "[data]\nkind = tiny\nper_class = 20\n\n[attack]\niterations = 5\n
     ("train-toy", "[plot]\npoints_per_cluster = -5\n",
      "error: plot.points_per_cluster must be non-negative, got -5"),
     ("sweep-proportion", "[sweep]\nproportions =\n", "error: sweep.proportions names no proportion"),
+    ("attack", TINY_ATTACK + "methods = pixelate\n\n[train]\nnoise_std = -1\n",
+     "error: noise_std must be finite and non-negative, got -1"),
+    ("attack", TINY_ATTACK + "methods = pixelate\n\n[train]\nnoise_std = nan\n",
+     "error: noise_std must be finite and non-negative, got nan"),
+    ("attack", TINY_ATTACK + "methods = pixelate\n\n[train]\nnoise_std = inf\n",
+     "error: noise_std must be finite and non-negative, got inf"),
 ], ids=["attack-batch-size", "sweep-attack-iterations", "attack-alpha", "beta1", "noise-std",
-        "attack-seed", "pixelate-factor", "blur-radius", "plot-points", "sweep-no-proportions"])
+        "attack-seed", "pixelate-factor", "blur-radius", "plot-points", "sweep-no-proportions",
+        "attack-noise-std-negative", "attack-noise-std-nan", "attack-noise-std-inf"])
 def test_invalid_run_config_exits_1_before_writing_anything(tmp_path, capsys, command, text,
                                                             message):
     assert run_with_config(tmp_path, text, command) == 1

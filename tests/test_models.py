@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from privsplit.autodiff import Tensor, backward
 from privsplit.models import (
     ModelBundle,
-    ModelConfig,
     NoiseSpec,
     build_models,
     discriminate,
@@ -23,7 +23,8 @@ from privsplit.training import TrainConfig
 
 
 def toy_bundle(seed=0, **overrides):
-    return build_models(ModelConfig(seed=seed, **overrides))
+    """The models `TrainConfig`'s defaults shape, changed by `overrides`."""
+    return build_models(replace(TrainConfig().model_config(seed), **overrides))
 
 
 def perceptual_tensors(bundle):
@@ -52,7 +53,7 @@ class TestBuildModels:
     def test_invalid_privacy_width_rejected(self):
         for bad in (0, 128, 200, -1):
             with pytest.raises(ValueError, match="privacy width"):
-                build_models(ModelConfig(privacy_width=bad))
+                toy_bundle(privacy_width=bad)
 
     def test_seed_reproducibility(self):
         a = toy_bundle(seed=5)
@@ -138,9 +139,10 @@ class TestFakePrivacy:
         b = fake_privacy(x, NoiseSpec(seed=11))
         assert np.array_equal(a.data, b.data)
 
-    def test_negative_std_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            NoiseSpec(std=-1.0)
+    @pytest.mark.parametrize("std", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_std_rejected(self, std):
+        with pytest.raises(ValueError, match="noise std must be finite and non-negative"):
+            NoiseSpec(std=std)
 
 
 class TestReconstructEncrypt:
