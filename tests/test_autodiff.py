@@ -150,6 +150,10 @@ class TestActivations:
         with pytest.raises(ValueError, match="unknown activation"):
             dense(Tensor([[0.0]]), Tensor([[1.0]]), Tensor([0.0]), "softplus")
 
+    def test_relu_is_not_an_activation(self):
+        with pytest.raises(ValueError, match="unknown activation kind 'relu'"):
+            dense(Tensor([[0.0]]), Tensor([[1.0]]), Tensor([0.0]), "relu")
+
     def test_dispatch_matches_direct(self):
         # dense picks its activation by name; through an identity layer it is the op itself
         x = Tensor([[-1.0, 0.5, 2.0]])

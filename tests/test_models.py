@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from privsplit.autodiff import Tensor, backward
+from privsplit.autodiff import Tensor, backward, sigmoid
 from privsplit.models import (
     ModelBundle,
     NoiseSpec,
     build_models,
+    decode,
     discriminate,
     encode,
     encrypt,
@@ -220,6 +221,29 @@ class TestDiscriminate:
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="discriminate expects"):
             discriminate(Tensor(np.zeros((1, 3))), toy_bundle())
+
+
+def encoder_output(split, bundle):
+    return merge(split.public_part, split.privacy_part, bundle)
+
+
+class TestNetworkShape:
+    @pytest.mark.parametrize("network, forward, final", [
+        ("encoder", lambda x, b: encoder_output(encode(x, b), b), None),
+        ("decoder", decode, None),
+        ("discriminator", discriminate, "sigmoid"),
+        ("perceptual", perceptual_features, "tanh"),
+    ])
+    def test_tanh_between_layers_and_final_after_the_last(self, network, forward, final):
+        bundle = toy_bundle()
+        layers = getattr(bundle, network)
+        x = np.random.default_rng(6).standard_normal((5, layers[0].w.data.shape[0]))
+        h = x
+        for layer in layers[:-1]:
+            h = np.tanh(h @ layer.w.data + layer.b.data)
+        h = h @ layers[-1].w.data + layers[-1].b.data
+        want = {None: h, "tanh": np.tanh(h), "sigmoid": sigmoid(Tensor(h)).data}[final]
+        assert np.array_equal(forward(Tensor(x), bundle).data, want)
 
 
 class TestPerceptualFreeze:
