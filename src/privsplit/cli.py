@@ -612,26 +612,24 @@ def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
 
 
 def cmd_report(run_dir: Path, out=None) -> int:
-    found = False
-    for name in ("history.csv", "report.csv", "sweep.csv"):
-        path = run_dir / name
-        if not path.exists():
-            continue
-        found = True
-        with open(path, newline="", encoding="ascii") as fh:
-            rows = list(csv.reader(fh))
-        print(f"== {name} ({len(rows[1:])} rows)", file=out)
-        if name == "history.csv" and len(rows) > 1:
+    paths = [p for p in (run_dir / n for n in ("history.csv", "report.csv", "sweep.csv"))
+             if p.exists()]
+    if not paths:
+        raise CliError(f"no run artifacts found in {run_dir}", 3)
+    for path in paths:
+        try:
+            with open(path, newline="", encoding="ascii") as fh:
+                rows = [row for row in csv.reader(fh) if row]  # a blank line is no row
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{path} is not an ASCII run file", 1) from exc
+        print(f"== {path.name} ({len(rows[1:])} rows)", file=out)
+        if path.name == "history.csv" and len(rows) > 1:
             header, first, last = rows[0], rows[1], rows[-1]
             for col, a, b in zip(header[1:], first[1:], last[1:]):
-                a_txt = a if a else "-"
-                b_txt = b if b else "-"
-                print(f"  {col}: first {a_txt} last {b_txt}", file=out)
+                print(f"  {col}: first {a or '-'} last {b or '-'}", file=out)
         else:
             for row in rows[1:]:
                 print("  " + ", ".join(row), file=out)
-    if not found:
-        raise CliError(f"no run artifacts found in {run_dir}", 3)
     return 0
 
 

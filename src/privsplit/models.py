@@ -8,6 +8,12 @@ reconstructed-looking a sample is, and a frozen random feature network
 provides the feature-space reconstruction term. That shape is the paper's
 and is fixed here: tanh between the layers of every network, and the
 discriminator's one output unit squashed by sigmoid.
+
+At inference :func:`reconstruct` decodes the encoder output as it is, and
+:func:`encrypt` adds the noise in place to its privacy columns: bitwise the
+split-and-merge chain that training runs, without copying the two parts.
+That holds with a recorded graph too, because the encoder's last layer is
+linear, and a linear :func:`dense` node's backward never reads its output.
 """
 
 from __future__ import annotations
@@ -173,14 +179,18 @@ def _check_width(x: Tensor, width: int, what: str) -> None:
         raise ValueError(f"{what} expects batch shape (n, {width}), got {x.data.shape}")
 
 
+def _encoder_output(x: Tensor, bundle: ModelBundle) -> Tensor:
+    _check_width(x, bundle.input_width, "encode")
+    return _mlp_forward(bundle.encoder, x)
+
+
 def encode(x: Tensor, bundle: ModelBundle) -> SplitFeature:
     """Run the encoder and cut the features at the fixed split index.
 
     The last `privacy_width` features form the privacy part; concatenating
     the two parts back reproduces the raw encoder output exactly.
     """
-    _check_width(x, bundle.input_width, "encode")
-    y = _mlp_forward(bundle.encoder, x)
+    y = _encoder_output(x, bundle)
     cut = bundle.feature_width - bundle.privacy_width
     return SplitFeature(public_part=slice_cols(y, 0, cut),
                         privacy_part=slice_cols(y, cut, bundle.feature_width))
@@ -202,13 +212,17 @@ def merge(public_part: Tensor, privacy_part: Tensor, bundle: ModelBundle) -> Ten
     return concat([public_part, privacy_part])
 
 
+def _noise(shape: tuple[int, int], noise: NoiseSpec) -> np.ndarray | None:
+    """The seeded noise for a privacy part of `shape`; None when std is 0."""
+    if noise.std == 0.0:
+        return None
+    return np.random.default_rng(noise.seed).normal(0.0, noise.std, size=shape)
+
+
 def fake_privacy(privacy_part: Tensor, noise: NoiseSpec) -> Tensor:
     """Privacy features plus seeded Gaussian noise (std 0 returns the input)."""
-    if noise.std == 0.0:
-        return privacy_part
-    rng = np.random.default_rng(noise.seed)
-    n = rng.normal(0.0, noise.std, size=privacy_part.data.shape)
-    return add(privacy_part, Tensor(n))
+    n = _noise(privacy_part.data.shape, noise)
+    return privacy_part if n is None else add(privacy_part, Tensor(n))
 
 
 def decode(features: Tensor, bundle: ModelBundle) -> Tensor:
@@ -217,16 +231,21 @@ def decode(features: Tensor, bundle: ModelBundle) -> Tensor:
 
 
 def reconstruct(x: Tensor, bundle: ModelBundle) -> Tensor:
-    """Decode the true (public, privacy) pair; same shape as the input."""
-    split = encode(x, bundle)
-    return decode(merge(split.public_part, split.privacy_part, bundle), bundle)
+    """Decode the true (public, privacy) pair, which is the encoder output as it is."""
+    return decode(_encoder_output(x, bundle), bundle)
 
 
 def encrypt(x: Tensor, bundle: ModelBundle, noise: NoiseSpec) -> Tensor:
-    """Decode the public part with a noise-corrupted privacy part."""
-    split = encode(x, bundle)
-    fake = fake_privacy(split.privacy_part, noise)
-    return decode(merge(split.public_part, fake, bundle), bundle)
+    """Decode the public part with a noise-corrupted privacy part.
+
+    :func:`fake_privacy`'s noise is added in place to the privacy columns of
+    the fresh encoder output (safe: see the module docstring).
+    """
+    y = _encoder_output(x, bundle)
+    n = _noise((len(y.data), bundle.privacy_width), noise)
+    if n is not None:
+        y.data[:, -bundle.privacy_width:] += n
+    return decode(y, bundle)
 
 
 def discriminate(x: Tensor, bundle: ModelBundle) -> Tensor:

@@ -1,12 +1,15 @@
-"""The benchmark's tracer finds every function it wraps.
+"""The benchmark's tracer finds every function it wraps, and its gradient gate passes.
 
 A wrap target that no longer resolves drops its layer's metrics from a
 traced benchmark run (``perfbench/run.py --trace 1``), so a rename or a
-deletion in ``src`` that would do so fails here first.
+deletion in ``src`` that would do so fails here first. A failed gradient
+gate fails every benchmark run, so it is run here too.
 """
 
 import importlib
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,3 +47,12 @@ def test_uninstall_puts_every_original_back(monkeypatch):
     finally:
         tr.uninstall()
     assert all(getattr(owner, last) is fn for (owner, last), fn in zip(targets, originals))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_gradient_gate_passes(monkeypatch, seed):
+    """The benchmark's gate grad-checks `reconstruct` and `encrypt` on a trainable bundle."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    assert workloads.gradient_check(seed) < workloads.GRAD_CHECK_LIMIT

@@ -302,6 +302,29 @@ def test_report_counts_an_empty_file_as_0_rows(tmp_path, capsys, name):
     assert capsys.readouterr().out.splitlines() == [f"== {name} (0 rows)"]
 
 
+def test_report_skips_blank_lines(tmp_path, capsys):
+    (tmp_path / "sweep.csv").write_text("proportion,accuracy\n1/64,0.5\n\n", encoding="ascii")
+    assert cli.main(["report", "--run", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["== sweep.csv (1 rows)", "  1/64, 0.5"]
+
+
+def test_report_skips_blank_lines_in_the_history_summary(tmp_path, capsys):
+    (tmp_path / "history.csv").write_text("iteration,l_D\n0,1.0\n\n1,0.5\n\n",
+                                          encoding="ascii")
+    assert cli.main(["report", "--run", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "== history.csv (2 rows)", "  l_D: first 1.0 last 0.5"]
+
+
+def test_report_on_a_file_that_is_not_ascii_names_it_and_exits_1(tmp_path, capsys):
+    path = tmp_path / "history.csv"
+    path.write_bytes(b"iteration,l_D\n0,1.\xff\n")
+    assert cli.main(["report", "--run", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"error: {path} is not an ASCII run file"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("make_dir", [True, False], ids=["empty", "absent"])
 def test_report_without_run_artifacts_exits_3(tmp_path, capsys, make_dir):
     run = tmp_path / "run"

@@ -1,10 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from privsplit.autodiff import Tensor, backward, sigmoid
+from privsplit.autodiff import Tensor, backward, sigmoid, tsum
 from privsplit.models import (
     ModelBundle,
     NoiseSpec,
@@ -178,6 +179,75 @@ class TestReconstructEncrypt:
             x = Tensor(np.zeros((3, input_width)))
             assert reconstruct(x, bundle).shape == (3, input_width)
             assert encrypt(x, bundle, NoiseSpec(seed=0)).shape == (3, input_width)
+
+
+def split_merge_reference(x, bundle, noise=None):
+    """x_r, or x_e with `noise`, through the encode/fake_privacy/merge/decode chain."""
+    split = encode(x, bundle)
+    privacy = split.privacy_part if noise is None else fake_privacy(split.privacy_part, noise)
+    return decode(merge(split.public_part, privacy, bundle), bundle)
+
+
+class TestDirectDecode:
+    """`reconstruct` and `encrypt` skip the split at inference; the chain is the reference."""
+
+    @pytest.mark.parametrize("view", [False, True], ids=["trainable", "detached"])
+    @pytest.mark.parametrize("privacy_width", [2, 64])
+    @pytest.mark.parametrize("std", [0.0, 1.0, 10.0])
+    def test_equal_the_split_merge_chain_bitwise(self, view, privacy_width, std):
+        bundle = toy_bundle(seed=3, privacy_width=privacy_width)
+        if view:
+            bundle = bundle.detached()
+        x = Tensor(np.random.default_rng(8).standard_normal((7, 2)))
+        noise = NoiseSpec(std=std, seed=21)
+        assert np.array_equal(encrypt(x, bundle, noise).data,
+                              split_merge_reference(x, bundle, noise).data)
+        assert np.array_equal(reconstruct(x, bundle).data, split_merge_reference(x, bundle).data)
+
+    def test_encrypt_leaves_its_input_unchanged(self):
+        data = np.random.default_rng(9).standard_normal((5, 2))
+        x = Tensor(data.copy())
+        for bundle in (toy_bundle(), toy_bundle().detached()):
+            encrypt(x, bundle, NoiseSpec(std=10.0, seed=4))
+            assert np.array_equal(x.data, data)
+
+    def test_gradients_equal_the_split_merge_chain(self):
+        x = Tensor(np.random.default_rng(10).standard_normal((6, 2)))
+        noise = NoiseSpec(std=1.0, seed=5)
+
+        def generator_grads(forward):
+            bundle = toy_bundle(seed=4, privacy_width=32)
+            out = forward(x, bundle)
+            backward(tsum(out * out))
+            return [p.grad for p in bundle.generator_parameters()]
+
+        direct = generator_grads(lambda x, b: encrypt(x, b, noise) + reconstruct(x, b))
+        chain = generator_grads(lambda x, b: split_merge_reference(x, b, noise)
+                                + split_merge_reference(x, b))
+        assert all(np.array_equal(a, b) for a, b in zip(direct, chain, strict=True))
+        assert all(g is not None and np.any(g != 0.0) for g in direct)
+
+
+class TestInferenceMemory:
+    """A 2000-row toy panel, as `train-toy` snapshots, through a detached bundle."""
+
+    LIMIT = 5 * 2**20  # the split-and-merge chain peaks above 6 MiB
+
+    @pytest.mark.parametrize("run", [
+        lambda x, b: reconstruct(x, b),
+        lambda x, b: encrypt(x, b, NoiseSpec(std=1.0, seed=3)),
+    ], ids=["reconstruct", "encrypt"])
+    def test_peak_stays_under_5_mib(self, run):
+        bundle = toy_bundle().detached()
+        x = Tensor(np.random.default_rng(11).standard_normal((2000, 2)))
+        run(x, bundle)  # warm up numpy's caches outside the trace
+        tracemalloc.start()
+        try:
+            run(x, bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.LIMIT, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestFrozen:

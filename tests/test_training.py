@@ -259,7 +259,9 @@ class TestMemory:
 class TestSnapshotMemory:
     def test_2000_row_panel_traced_peak_stays_below_8_mib(self):
         # train-toy's panel: reconstruct and encrypt 2000 rows at width 128.
-        # 6.2 MiB through the view, 10.1 MiB while every activation stayed in a graph
+        # 4.2 MiB now that they skip the split (the tighter pin is
+        # test_models.py::TestInferenceMemory), 6.1 MiB while they copied it,
+        # 10.1 MiB while every activation stayed in a graph
         ds = gen_toy_clusters(ClusterSpec(seed=2, points_per_cluster=200))
         plot_x = Tensor(ds.features[:2000])
         peaks = []
