@@ -294,7 +294,7 @@ def cmd_check(seed: int = 0, out=None) -> int:
         size = int(rng.integers(2, 33))
         p_r = rng.random(size) + 1e-3
         p_e = rng.random(size) + 1e-3
-        pair = DiscreteDistributionPair(list(range(size)), p_r / p_r.sum(), p_e / p_e.sum())
+        pair = DiscreteDistributionPair(p_r / p_r.sum(), p_e / p_e.sum())
         gap = abs(collaborative_loss_at_optimum(pair) - (LOG4 - 2.0 * jsd(pair)))
         worst_gap = max(worst_gap, gap)
     report("divergence-identity", worst_gap < 1e-9, f"max gap {worst_gap:.3e}")
@@ -346,6 +346,21 @@ def _toy_snapshot_indices(dataset: LabeledDataset, per_cluster: int,
     return np.sort(np.concatenate(picks))
 
 
+def _train_and_hold_out(dataset: LabeledDataset, tcfg: TrainConfig, outdir: Path,
+                        **snapshots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Train on the train split and save ``checkpoint.npz`` and ``history.csv``.
+
+    Returns the held-out rows, their reconstruction and their encryption,
+    whose noise seed is the train seed + 7919. `snapshots` go to ``train``.
+    """
+    bundle, history = train(dataset.features[dataset.train_idx], tcfg, **snapshots)
+    save_checkpoint(bundle, history, outdir / "checkpoint.npz")
+    write_history_csv(history, outdir / "history.csv")
+    held = Tensor(dataset.features[dataset.heldout_idx])
+    noise = NoiseSpec(std=tcfg.noise_std, seed=tcfg.seed + 7919)
+    return held.data, reconstruct(held, bundle).data, encrypt(held, bundle, noise).data
+
+
 def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
     dataset = dataset_from(config, seed)
     if dataset.width != 2:
@@ -370,18 +385,12 @@ def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
         snapshots_enc[iteration] = encrypt(plot_x, bundle, panel_noise).data
 
     marks = {0, 100, 500, tcfg.iterations}
-    bundle, history = train(dataset.features[dataset.train_idx], tcfg,
-                            snapshot_iters=marks, snapshot_fn=snap)
-    save_checkpoint(bundle, history, outdir / "checkpoint.npz")
-    write_history_csv(history, outdir / "history.csv")
+    held, recon, encrypted = _train_and_hold_out(dataset, tcfg, outdir,
+                                                 snapshot_iters=marks, snapshot_fn=snap)
     scatter_report(plot_x.data, plot_labels, snapshots_enc, snapshots_rec,
                    csv_path=outdir / "scatter.csv", svg_path=outdir / "scatter.svg")
-    held = Tensor(dataset.features[dataset.heldout_idx])
-    recon = reconstruct(held, bundle).data
-    encrypted = encrypt(held, bundle, NoiseSpec(std=tcfg.noise_std,
-                                                seed=tcfg.seed + 7919)).data
     sep = separability(recon, encrypted, acfg)
-    mse = float(np.mean((recon - held.data) ** 2))
+    mse = float(np.mean((recon - held) ** 2))
     print(f"reconstruction mse {mse:.6f}")
     print(f"separability {sep:.4f}")
     print(f"artifacts in {outdir}")
@@ -393,14 +402,10 @@ def cmd_train_image(config: dict, outdir: Path, seed: int) -> int:
     tcfg = _from_section(TrainConfig, config, "train", seed=seed, input_width=dataset.width,
                          use_perceptual=True)
     write_run_files(outdir, "train-image", config, tcfg.seed)
-    bundle, history = train(dataset.features[dataset.train_idx], tcfg)
-    save_checkpoint(bundle, history, outdir / "checkpoint.npz")
-    write_history_csv(history, outdir / "history.csv")
-    held = Tensor(dataset.features[dataset.heldout_idx])
+    held, recon, encrypted = _train_and_hold_out(dataset, tcfg, outdir)
     peak = float(dataset.features.max() - dataset.features.min())
-    recon_db = psnr(reconstruct(held, bundle).data, held.data, peak)
-    enc = encrypt(held, bundle, NoiseSpec(std=tcfg.noise_std, seed=tcfg.seed + 7919))
-    enc_db = psnr(enc.data, held.data, peak)
+    recon_db = psnr(recon, held, peak)
+    enc_db = psnr(encrypted, held, peak)
     print(f"psnr reconstructed {recon_db:.2f} dB")
     print(f"psnr encrypted {enc_db:.2f} dB")
     print(f"artifacts in {outdir}")
@@ -411,12 +416,12 @@ def cmd_train_image(config: dict, outdir: Path, seed: int) -> int:
 # obfuscate
 
 
-def _bundle_for_image(checkpoint: str, img: Image) -> ModelBundle:
+def _load_model(checkpoint, width: int) -> ModelBundle:
+    """The checkpoint's models; a usage error unless they take `width` input values."""
     bundle, _ = load_checkpoint(checkpoint)
-    if bundle.input_width != img.width * img.height * img.channels:
-        raise usage_error(
-            f"checkpoint expects input width {bundle.input_width}, image has "
-            f"{img.width * img.height * img.channels} values")
+    if bundle.input_width != width:
+        raise usage_error(f"checkpoint {checkpoint} expects input width "
+                          f"{bundle.input_width}, the data has width {width}")
     return bundle
 
 
@@ -437,7 +442,7 @@ def cmd_obfuscate(args) -> int:
     elif args.method == "model":
         if not args.checkpoint:
             raise usage_error("--checkpoint is required for method=model")
-        bundle = _bundle_for_image(args.checkpoint, img)
+        bundle = _load_model(args.checkpoint, img.pixels.size)
         features = pixels_to_features(img.pixels).reshape(1, -1)
         noise = NoiseSpec(std=args.noise_std, seed=args.seed or 0)
         encrypted = encrypt(Tensor(features), bundle, noise).data
@@ -494,11 +499,7 @@ def _image_space_method(name, key, dataset, transform) -> ObfuscationMethod:
 
 def _model_method(name: str, checkpoint: str, noise_std: float,
                   expected_width: int) -> ObfuscationMethod:
-    bundle, _ = load_checkpoint(checkpoint)
-    if bundle.input_width != expected_width:
-        raise usage_error(
-            f"checkpoint {checkpoint} expects width {bundle.input_width}, "
-            f"dataset has {expected_width}")
+    bundle = _load_model(checkpoint, expected_width)
 
     def encrypt_fn(features: np.ndarray, rng) -> np.ndarray:
         noise = NoiseSpec(std=noise_std, seed=int(rng.integers(2**62)))

@@ -38,8 +38,8 @@ from .svgplot import Panel, cluster_color, scatter_grid
 
 def psnr(a, b, peak: float) -> float:
     """10*log10(peak^2 / MSE) in dB; +inf for identical inputs."""
-    a = np.asarray(getattr(a, "pixels", a), dtype=np.float64)
-    b = np.asarray(getattr(b, "pixels", b), dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"psnr shape mismatch: {a.shape} vs {b.shape}")
     if peak <= 0:

@@ -1,13 +1,14 @@
 """The encryption model (encoder, feature split, decoder) and discriminator.
 
 The encoder maps a sample to a feature vector that is cut at a fixed index
-into a public part and a small privacy part. Decoding the true pair gives
-the reconstruction; decoding the public part with a noise-corrupted privacy
-part gives the encrypted output. A five-layer MLP discriminator scores how
-reconstructed-looking a sample is, and a frozen random feature network
-provides the feature-space reconstruction term. That shape is the paper's
-and is fixed here: tanh between the layers of every network, and the
-discriminator's one output unit squashed by sigmoid.
+into a public part and a small privacy part; :func:`encode` returns the pair
+(public, privacy). Decoding the true pair gives the reconstruction; decoding
+the public part with a noise-corrupted privacy part gives the encrypted
+output. A five-layer MLP discriminator scores how reconstructed-looking a
+sample is, and a frozen random feature network provides the feature-space
+reconstruction term. That shape is the paper's and is fixed here: tanh
+between the layers of every network, and the discriminator's one output
+unit squashed by sigmoid.
 
 At inference :func:`reconstruct` decodes the encoder output as it is, and
 :func:`encrypt` adds the noise in place to its privacy columns: bitwise the
@@ -24,14 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, add, concat, dense, slice_cols
-
-
-@dataclass
-class SplitFeature:
-    """Encoder output cut into the public and privacy parts (public first)."""
-
-    public_part: Tensor
-    privacy_part: Tensor
 
 
 @dataclass
@@ -174,40 +167,26 @@ def _mlp_forward(layers: list[Layer], x: Tensor, final: str | None = None) -> Te
     return h
 
 
-def _check_width(x: Tensor, width: int, what: str) -> None:
-    if x.data.ndim != 2 or x.data.shape[1] != width:
-        raise ValueError(f"{what} expects batch shape (n, {width}), got {x.data.shape}")
-
-
-def _encoder_output(x: Tensor, bundle: ModelBundle) -> Tensor:
-    _check_width(x, bundle.input_width, "encode")
-    return _mlp_forward(bundle.encoder, x)
-
-
-def encode(x: Tensor, bundle: ModelBundle) -> SplitFeature:
-    """Run the encoder and cut the features at the fixed split index.
+def encode(x: Tensor, bundle: ModelBundle) -> tuple[Tensor, Tensor]:
+    """Run the encoder and cut the features at the fixed split index: (public, privacy).
 
     The last `privacy_width` features form the privacy part; concatenating
     the two parts back reproduces the raw encoder output exactly.
     """
-    y = _encoder_output(x, bundle)
+    y = _mlp_forward(bundle.encoder, x)
     cut = bundle.feature_width - bundle.privacy_width
-    return SplitFeature(public_part=slice_cols(y, 0, cut),
-                        privacy_part=slice_cols(y, cut, bundle.feature_width))
+    return slice_cols(y, 0, cut), slice_cols(y, cut, bundle.feature_width)
 
 
 def merge(public_part: Tensor, privacy_part: Tensor, bundle: ModelBundle) -> Tensor:
-    """Concatenate public-then-privacy back into a full feature vector of `bundle`."""
-    if public_part.data.ndim != 2 or privacy_part.data.ndim != 2:
-        raise ValueError("merge expects 2-D (batch, width) tensors")
-    total = public_part.data.shape[1] + privacy_part.data.shape[1]
-    if total != bundle.feature_width:
+    """Concatenate public-then-privacy back into a full feature vector of `bundle`.
+
+    Only the privacy width is checked here, which catches swapped arguments;
+    the concatenation and the next :func:`decode` reject any other shape.
+    """
+    if privacy_part.data.shape[-1] != bundle.privacy_width:
         raise ValueError(
-            f"merge widths {public_part.data.shape[1]}+{privacy_part.data.shape[1]} "
-            f"!= feature width {bundle.feature_width}")
-    if privacy_part.data.shape[1] != bundle.privacy_width:
-        raise ValueError(
-            f"privacy part has width {privacy_part.data.shape[1]}, "
+            f"privacy part has width {privacy_part.data.shape[-1]}, "
             f"expected {bundle.privacy_width} (argument order is public, privacy)")
     return concat([public_part, privacy_part])
 
@@ -226,13 +205,12 @@ def fake_privacy(privacy_part: Tensor, noise: NoiseSpec) -> Tensor:
 
 
 def decode(features: Tensor, bundle: ModelBundle) -> Tensor:
-    _check_width(features, bundle.feature_width, "decode")
     return _mlp_forward(bundle.decoder, features)
 
 
 def reconstruct(x: Tensor, bundle: ModelBundle) -> Tensor:
     """Decode the true (public, privacy) pair, which is the encoder output as it is."""
-    return decode(_encoder_output(x, bundle), bundle)
+    return decode(_mlp_forward(bundle.encoder, x), bundle)
 
 
 def encrypt(x: Tensor, bundle: ModelBundle, noise: NoiseSpec) -> Tensor:
@@ -241,7 +219,7 @@ def encrypt(x: Tensor, bundle: ModelBundle, noise: NoiseSpec) -> Tensor:
     :func:`fake_privacy`'s noise is added in place to the privacy columns of
     the fresh encoder output (safe: see the module docstring).
     """
-    y = _encoder_output(x, bundle)
+    y = _mlp_forward(bundle.encoder, x)
     n = _noise((len(y.data), bundle.privacy_width), noise)
     if n is not None:
         y.data[:, -bundle.privacy_width:] += n
@@ -250,11 +228,9 @@ def encrypt(x: Tensor, bundle: ModelBundle, noise: NoiseSpec) -> Tensor:
 
 def discriminate(x: Tensor, bundle: ModelBundle) -> Tensor:
     """Probability (strictly inside (0,1)) that each sample is a reconstruction."""
-    _check_width(x, bundle.input_width, "discriminate")
     return _mlp_forward(bundle.discriminator, x, final="sigmoid")
 
 
 def perceptual_features(x: Tensor, bundle: ModelBundle) -> Tensor:
     """Frozen random feature map; tanh keeps the features bounded."""
-    _check_width(x, bundle.input_width, "perceptual_features")
     return _mlp_forward(bundle.perceptual, x, final="tanh")

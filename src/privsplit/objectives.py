@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, log, mse, tmean
+from .autodiff import Tensor, log, mse, tmean
 
 LOG4 = math.log(4.0)
 
@@ -32,36 +32,25 @@ def bce(p: Tensor, target: int) -> Tensor:
     return -log(p) if target == 1 else -log(Tensor(np.ones((), p.data.dtype)) - p)
 
 
-def _batch(p, name: str) -> Tensor:
-    t = as_tensor(p)
-    if t.data.size == 0:
-        raise ValueError(f"{name}: empty batch")
-    return t
-
-
-def generator_adversarial_loss(d_on_recon, d_on_encrypted) -> Tensor:
+def generator_adversarial_loss(d_on_recon: Tensor, d_on_encrypted: Tensor) -> Tensor:
     """Mean BCE of D's outputs against (reconstructed=1, encrypted=0).
 
     The one adversarial objective of both the discriminator and the
     encryption model (the two networks collaborate on it); which parameters
     it trains is decided by the caller applying updates.
     """
-    d_r = _batch(d_on_recon, "generator_adversarial_loss")
-    d_e = _batch(d_on_encrypted, "generator_adversarial_loss")
-    return tmean(bce(d_r, 1)) + tmean(bce(d_e, 0))
+    if d_on_recon.data.size == 0 or d_on_encrypted.data.size == 0:  # tmean would give NaN
+        raise ValueError("generator_adversarial_loss: empty batch")
+    return tmean(bce(d_on_recon, 1)) + tmean(bce(d_on_encrypted, 0))
 
 
-def reconstruction_loss(x_r, x, phi: Callable[[Tensor], Tensor] | None,
+def reconstruction_loss(x_r: Tensor, x: Tensor, phi: Callable[[Tensor], Tensor] | None,
                         lam: float) -> tuple[Tensor, Tensor, Tensor]:
     """(pixel MSE, feature-space MSE, MSE + lam * feature MSE).
 
     `phi` is a frozen feature network; pass None to drop the feature term.
     `lam` is ``TrainConfig.lam``.
     """
-    x_r = as_tensor(x_r)
-    x = as_tensor(x)
-    if x_r.data.shape != x.data.shape:
-        raise ValueError(f"reconstruction_loss shape mismatch: {x_r.data.shape} vs {x.data.shape}")
     recon_mse = mse(x_r, x)
     if phi is None:
         perceptual = Tensor(0.0)
@@ -71,17 +60,14 @@ def reconstruction_loss(x_r, x, phi: Callable[[Tensor], Tensor] | None,
     return recon_mse, perceptual, combined
 
 
-def msednet_loss(recon_combined: Tensor, x, x_e, phi: Callable[[Tensor], Tensor]) -> Tensor:
+def msednet_loss(recon_combined: Tensor, x: Tensor, x_e: Tensor,
+                 phi: Callable[[Tensor], Tensor]) -> Tensor:
     """The reconstruction loss minus the feature-space distance of the encrypted output.
 
     `recon_combined` is :func:`reconstruction_loss`'s third value. Minimizing
     this keeps x_r close to x while pushing phi(x_e) away from phi(x) -- the
     decomposition-only baseline with no discriminator.
     """
-    x_e = as_tensor(x_e)
-    x = as_tensor(x)
-    if x_e.data.shape != x.data.shape:
-        raise ValueError(f"msednet_loss shape mismatch: {x_e.data.shape} vs {x.data.shape}")
     return recon_combined - mse(phi(x_e), phi(x))
 
 
@@ -93,15 +79,14 @@ def msednet_loss(recon_combined: Tensor, x, x_e, phi: Callable[[Tensor], Tensor]
 class DiscreteDistributionPair:
     """Two probability vectors over one finite support."""
 
-    support: Sequence
     p_r: np.ndarray
     p_e: np.ndarray
 
     def __post_init__(self):
         self.p_r = np.asarray(self.p_r, dtype=np.float64)
         self.p_e = np.asarray(self.p_e, dtype=np.float64)
-        if len(self.support) != self.p_r.size or self.p_r.size != self.p_e.size:
-            raise ValueError("support and probability vectors must have equal lengths")
+        if self.p_r.size != self.p_e.size:
+            raise ValueError("the probability vectors must have equal lengths")
         for name, p in (("p_r", self.p_r), ("p_e", self.p_e)):
             if np.any(p < 0.0):
                 raise ValueError(f"{name} has negative entries")

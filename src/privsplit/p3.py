@@ -77,8 +77,6 @@ class P3Package:
     width: int
     height: int
     channels: int
-    block_rows: int
-    block_cols: int
 
 
 def _to_blocks(planes: np.ndarray) -> np.ndarray:
@@ -146,8 +144,7 @@ def p3_encode(img: Image, threshold: int) -> P3Package:
     coeffs = _quantize_image(img.pixels[None])
     keep = _public_mask(coeffs, threshold)
     public = np.where(keep, coeffs, 0)
-    channels, by, bx = coeffs.shape[:3]
-    flat = coeffs.reshape(channels * by * bx, 64)
+    flat = coeffs.reshape(-1, 64)
     secret_ids = np.nonzero(~keep.reshape(flat.shape))
     secret = [(int(b), int(c), int(flat[b, c])) for b, c in zip(*secret_ids)]
     return P3Package(
@@ -159,8 +156,6 @@ def p3_encode(img: Image, threshold: int) -> P3Package:
         width=img.width,
         height=img.height,
         channels=img.channels,
-        block_rows=by,
-        block_cols=bx,
     )
 
 

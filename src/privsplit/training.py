@@ -167,14 +167,6 @@ class TrainHistory:
         return len(self.iterations)
 
 
-def _features_of(dataset) -> np.ndarray:
-    feats = getattr(dataset, "features", dataset)
-    feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise ValueError(f"training data must be a non-empty (n, d) array, got shape {feats.shape}")
-    return feats
-
-
 def _check_finite(iteration: int, **terms: float) -> None:
     for name, value in terms.items():
         if value is not None and not np.isfinite(value):
@@ -190,11 +182,10 @@ def objective(x: Tensor, bundle: ModelBundle, config: TrainConfig,
     x_e, which ``no_collaborative`` never reads or decodes; it takes None.
     """
     phi = lambda t: perceptual_features(t, bundle)
-    split = encode(x, bundle)
-    x_r = decode(merge(split.public_part, split.privacy_part, bundle), bundle)
+    public, privacy = encode(x, bundle)
+    x_r = decode(merge(public, privacy, bundle), bundle)
     if config.ablation != "no_collaborative":
-        x_e = decode(merge(split.public_part,
-                           fake_privacy(split.privacy_part, noise), bundle), bundle)
+        x_e = decode(merge(public, fake_privacy(privacy, noise), bundle), bundle)
     recon_mse, perceptual, recon_combined = reconstruction_loss(
         x_r, x, phi if config.use_perceptual else None, config.lam)
     if config.ablation == "full":
@@ -205,7 +196,7 @@ def objective(x: Tensor, bundle: ModelBundle, config: TrainConfig,
     return msednet_loss(recon_combined, x, x_e, phi), recon_mse, perceptual, None
 
 
-def train(dataset, config: TrainConfig,
+def train(features, config: TrainConfig,
           snapshot_iters: Iterable[int] = (),
           snapshot_fn: Callable[[int, ModelBundle], None] | None = None,
           ) -> tuple[ModelBundle, TrainHistory]:
@@ -220,7 +211,10 @@ def train(dataset, config: TrainConfig,
     number of completed iterations hits one of `snapshot_iters` (0 means the
     initial state), and sees the weights as they stand then.
     """
-    features = _features_of(dataset)
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] == 0:
+        raise ValueError(
+            f"training data must be a non-empty (n, d) array, got shape {features.shape}")
     if features.shape[1] != config.input_width:
         raise ValueError(
             f"dataset width {features.shape[1]} != configured input width {config.input_width}")
@@ -266,7 +260,7 @@ def train(dataset, config: TrainConfig,
         total_val = total.item()
         mse_val = recon_mse.item()
         perc_val = perceptual.item()
-        _check_finite(i, l_d=l_ad_val, l_g_ad=l_ad_val, l_recon_mse=mse_val,
+        _check_finite(i, l_d=l_ad_val, l_recon_mse=mse_val,  # l_d is also l_g_ad
                       l_perceptual=perc_val, l_g_total=total_val)
 
         backward(total)

@@ -22,7 +22,7 @@ from privsplit.datasets import (
     pixels_to_features,
 )
 from privsplit.evaluation import AttackConfig
-from privsplit.image import load_pixmap, save_pixmap
+from privsplit.image import Image, load_pixmap, save_pixmap
 from privsplit.obfuscation import gaussian_blur, pixelate
 from privsplit.models import NoiseSpec, encrypt
 from privsplit.p3 import p3_encode, serialize_secret
@@ -135,6 +135,33 @@ def test_obfuscate_with_non_finite_noise_std_exits_1_naming_it(trained_run, caps
     assert capsys.readouterr().err.strip() == (
         f"error: noise std must be finite and non-negative, got {std}")
     assert not out.exists()
+
+
+def checkpoint_width_message(checkpoint, data_width):
+    width = load_checkpoint(checkpoint)[0].input_width
+    return (f"error: checkpoint {checkpoint} expects input width {width}, "
+            f"the data has width {data_width}")
+
+
+def test_obfuscate_with_a_checkpoint_of_another_width_exits_2_and_writes_nothing(
+        trained_run, tmp_path, capsys):
+    ckpt = trained_run / "run" / "checkpoint.npz"
+    save_pixmap(Image.from_array(np.zeros((4, 5), dtype=np.uint8)), tmp_path / "small.pgm")
+    assert cli.main(["obfuscate", "--method", "model", "--input", str(tmp_path / "small.pgm"),
+                     "--output", str(tmp_path / "out.pgm"), "--checkpoint", str(ckpt),
+                     "--recon-out", str(tmp_path / "recon.pgm")]) == 2
+    assert capsys.readouterr().err.splitlines() == [checkpoint_width_message(ckpt, 20)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.pgm"]
+
+
+def test_attack_with_a_checkpoint_of_another_width_exits_2_and_writes_nothing(
+        trained_run, tmp_path, capsys):
+    ckpt = trained_run / "run" / "checkpoint.npz"
+    config = tmp_path / "attack.ini"
+    config.write_text(f"[attack]\nmethods = model\nmodel_checkpoint = {ckpt}\niterations = 5\n")
+    assert cli.main(["attack", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [checkpoint_width_message(ckpt, 2)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["attack.ini"]
 
 
 def test_sweep_with_invalid_proportion_exits_1_before_any_run(tmp_path, capsys):

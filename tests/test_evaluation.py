@@ -21,7 +21,6 @@ from privsplit.evaluation import (
     wilson_interval,
     write_report_csv,
 )
-from privsplit.image import Image
 from privsplit.svgplot import cluster_color
 
 FAST = AttackConfig(iterations=400, seed=11)
@@ -50,10 +49,6 @@ class TestPsnr:
         rng = np.random.default_rng(0)
         a, b = rng.random((3, 3)), rng.random((3, 3))
         assert psnr(a, b, 1.0) == psnr(b, a, 1.0)
-
-    def test_accepts_images(self):
-        img = Image.from_array(np.full((2, 2), 10, dtype=np.uint8))
-        assert psnr(img, img, 255) == math.inf
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

@@ -78,30 +78,30 @@ class TestBuildModels:
 
 class TestEncodeMerge:
     def test_default_part_lengths(self):
-        split = encode(Tensor([[0.3, -0.8]]), toy_bundle())
-        assert split.public_part.shape == (1, 126)
-        assert split.privacy_part.shape == (1, 2)
+        public, privacy = encode(Tensor([[0.3, -0.8]]), toy_bundle())
+        assert public.shape == (1, 126)
+        assert privacy.shape == (1, 2)
 
     def test_equal_split_config(self):
-        split = encode(Tensor([[0.3, -0.8]]), toy_bundle(privacy_width=64))
-        assert split.public_part.shape == (1, 64)
-        assert split.privacy_part.shape == (1, 64)
+        public, privacy = encode(Tensor([[0.3, -0.8]]), toy_bundle(privacy_width=64))
+        assert public.shape == (1, 64)
+        assert privacy.shape == (1, 64)
 
     def test_encode_deterministic(self):
         bundle = toy_bundle()
         x = Tensor([[1.0, 2.0]])
-        a, b = encode(x, bundle), encode(x, bundle)
-        assert np.array_equal(a.public_part.data, b.public_part.data)
-        assert np.array_equal(a.privacy_part.data, b.privacy_part.data)
+        (a_public, a_privacy), (b_public, b_privacy) = encode(x, bundle), encode(x, bundle)
+        assert np.array_equal(a_public.data, b_public.data)
+        assert np.array_equal(a_privacy.data, b_privacy.data)
 
     def test_merge_restores_encoder_output_bitwise(self):
         rng = np.random.default_rng(1)
         for seed in range(3):
             bundle = toy_bundle(seed=seed)
             x = Tensor(rng.standard_normal((4, 2)))
-            split = encode(x, bundle)
-            merged = merge(split.public_part, split.privacy_part, bundle)
-            raw = np.concatenate([split.public_part.data, split.privacy_part.data], axis=1)
+            public, privacy = encode(x, bundle)
+            merged = merge(public, privacy, bundle)
+            raw = np.concatenate([public.data, privacy.data], axis=1)
             assert np.array_equal(merged.data, raw)
 
     def test_merge_of_zeros(self):
@@ -114,12 +114,26 @@ class TestEncodeMerge:
             merge(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 126))), bundle)
 
     def test_merge_width_mismatch(self):
-        with pytest.raises(ValueError, match="feature width"):
-            merge(Tensor(np.zeros((1, 100))), Tensor(np.zeros((1, 2))), toy_bundle())
+        bundle = toy_bundle()
+        with pytest.raises(ValueError, match="dense shape mismatch"):
+            decode(merge(Tensor(np.zeros((1, 100))), Tensor(np.zeros((1, 2))), bundle), bundle)
 
-    def test_encode_width_mismatch(self):
-        with pytest.raises(ValueError, match="encode expects"):
-            encode(Tensor(np.zeros((1, 3))), toy_bundle())
+
+@pytest.mark.parametrize("view", [False, True], ids=["trainable", "detached"])
+@pytest.mark.parametrize("forward, width", [
+    (encode, "input_width"),
+    (decode, "feature_width"),
+    (discriminate, "input_width"),
+    (perceptual_features, "input_width"),
+    (reconstruct, "input_width"),
+    (lambda x, b: encrypt(x, b, NoiseSpec(seed=1)), "input_width"),
+], ids=["encode", "decode", "discriminate", "perceptual_features", "reconstruct", "encrypt"])
+def test_a_batch_one_column_too_wide_is_rejected(view, forward, width):
+    bundle = toy_bundle()
+    if view:
+        bundle = bundle.detached()
+    with pytest.raises(ValueError, match="dense shape mismatch"):
+        forward(Tensor(np.zeros((3, getattr(bundle, width) + 1))), bundle)
 
 
 class TestFakePrivacy:
@@ -183,9 +197,10 @@ class TestReconstructEncrypt:
 
 def split_merge_reference(x, bundle, noise=None):
     """x_r, or x_e with `noise`, through the encode/fake_privacy/merge/decode chain."""
-    split = encode(x, bundle)
-    privacy = split.privacy_part if noise is None else fake_privacy(split.privacy_part, noise)
-    return decode(merge(split.public_part, privacy, bundle), bundle)
+    public, privacy = encode(x, bundle)
+    if noise is not None:
+        privacy = fake_privacy(privacy, noise)
+    return decode(merge(public, privacy, bundle), bundle)
 
 
 class TestDirectDecode:
@@ -288,18 +303,14 @@ class TestDiscriminate:
         x = Tensor([[0.2, 0.4]])
         assert discriminate(x, bundle).item() == discriminate(x, bundle).item()
 
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="discriminate expects"):
-            discriminate(Tensor(np.zeros((1, 3))), toy_bundle())
 
-
-def encoder_output(split, bundle):
-    return merge(split.public_part, split.privacy_part, bundle)
+def encoder_output(x, bundle):
+    return merge(*encode(x, bundle), bundle)
 
 
 class TestNetworkShape:
     @pytest.mark.parametrize("network, forward, final", [
-        ("encoder", lambda x, b: encoder_output(encode(x, b), b), None),
+        ("encoder", encoder_output, None),
         ("decoder", decode, None),
         ("discriminator", discriminate, "sigmoid"),
         ("perceptual", perceptual_features, "tanh"),

@@ -27,7 +27,7 @@ def bce_oracle(p: float, target: int) -> float:
 def random_pair(rng, size):
     p_r = rng.random(size) + 1e-3
     p_e = rng.random(size) + 1e-3
-    return DiscreteDistributionPair(list(range(size)), p_r / p_r.sum(), p_e / p_e.sum())
+    return DiscreteDistributionPair(p_r / p_r.sum(), p_e / p_e.sum())
 
 
 class TestBce:
@@ -69,23 +69,23 @@ class TestBce:
 class TestAdversarialLosses:
     def test_perfect_discriminator_near_zero(self):
         eps = 1e-6
-        val = generator_adversarial_loss([1 - eps] * 4, [eps] * 4).item()
+        val = generator_adversarial_loss(Tensor([1 - eps] * 4), Tensor([eps] * 4)).item()
         assert val == pytest.approx(0.0, abs=1e-5)
 
     def test_uninformative_is_log4(self):
-        val = generator_adversarial_loss([0.5, 0.5], [0.5, 0.5]).item()
+        val = generator_adversarial_loss(Tensor([0.5, 0.5]), Tensor([0.5, 0.5])).item()
         assert val == pytest.approx(LOG4, abs=1e-12)
 
     def test_hand_batch(self):
-        val = generator_adversarial_loss([0.9, 0.8], [0.1, 0.3]).item()
+        val = generator_adversarial_loss(Tensor([0.9, 0.8]), Tensor([0.1, 0.3])).item()
         assert val == pytest.approx(0.39526976328429736, abs=1e-12)
 
     def test_empty_batch(self):
         with pytest.raises(ValueError, match="empty batch"):
-            generator_adversarial_loss([], [0.5])
+            generator_adversarial_loss(Tensor([]), Tensor([0.5]))
 
     def test_collapsed_discriminator_is_log4(self):
-        val = generator_adversarial_loss([0.5] * 3, [0.5] * 3).item()
+        val = generator_adversarial_loss(Tensor([0.5] * 3), Tensor([0.5] * 3)).item()
         assert val == pytest.approx(LOG4, abs=1e-12)
 
     def test_gradient_reaches_the_probability_source(self):
@@ -158,28 +158,28 @@ class TestMsednetLoss:
 class TestDistributionPair:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sums to"):
-            DiscreteDistributionPair([0, 1], [0.5, 0.4], [0.5, 0.5])
+            DiscreteDistributionPair([0.5, 0.4], [0.5, 0.5])
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
-            DiscreteDistributionPair([0, 1], [1.1, -0.1], [0.5, 0.5])
+            DiscreteDistributionPair([1.1, -0.1], [0.5, 0.5])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="equal lengths"):
-            DiscreteDistributionPair([0, 1, 2], [0.5, 0.5], [0.5, 0.5])
+            DiscreteDistributionPair([0.5, 0.5], [0.2, 0.3, 0.5])
 
 
 class TestJsd:
     def test_identical_distributions(self):
-        pair = DiscreteDistributionPair([0, 1], [0.4, 0.6], [0.4, 0.6])
+        pair = DiscreteDistributionPair([0.4, 0.6], [0.4, 0.6])
         assert jsd(pair) == 0.0
 
     def test_disjoint_point_masses(self):
-        pair = DiscreteDistributionPair([0, 1], [1.0, 0.0], [0.0, 1.0])
+        pair = DiscreteDistributionPair([1.0, 0.0], [0.0, 1.0])
         assert jsd(pair) == pytest.approx(LN2, abs=1e-15)
 
     def test_hand_value(self):
-        pair = DiscreteDistributionPair([0, 1], [0.5, 0.5], [1.0, 0.0])
+        pair = DiscreteDistributionPair([0.5, 0.5], [1.0, 0.0])
         assert jsd(pair) == pytest.approx(0.21576155433883565, abs=1e-14)
 
     def test_bounds_and_zero_iff_equal(self):
@@ -196,15 +196,15 @@ class TestJsd:
 
 class TestCollaborativeLossAtOptimum:
     def test_equal_distributions_give_log4(self):
-        pair = DiscreteDistributionPair([0, 1], [0.25, 0.75], [0.25, 0.75])
+        pair = DiscreteDistributionPair([0.25, 0.75], [0.25, 0.75])
         assert collaborative_loss_at_optimum(pair) == pytest.approx(LOG4, abs=1e-14)
 
     def test_disjoint_supports_give_zero(self):
-        pair = DiscreteDistributionPair([0, 1], [1.0, 0.0], [0.0, 1.0])
+        pair = DiscreteDistributionPair([1.0, 0.0], [0.0, 1.0])
         assert collaborative_loss_at_optimum(pair) == pytest.approx(0.0, abs=1e-14)
 
     def test_hand_value(self):
-        pair = DiscreteDistributionPair([0, 1], [0.5, 0.5], [1.0, 0.0])
+        pair = DiscreteDistributionPair([0.5, 0.5], [1.0, 0.0])
         assert collaborative_loss_at_optimum(pair) == pytest.approx(0.9547712524422193, abs=1e-13)
 
     def test_identity_with_jsd_over_random_pairs(self):

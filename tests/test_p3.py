@@ -41,8 +41,8 @@ def quantized_reference(img: Image) -> Image:
 
 def p3_decode(pkg: P3Package) -> Image:
     """Reinsert the secret coefficients and invert the codec."""
-    shape = (pkg.channels, pkg.block_rows, pkg.block_cols, 8, 8)
-    assert pkg.public_coefficients.shape == shape
+    shape = pkg.public_coefficients.shape
+    assert shape[0] == pkg.channels and shape[3:] == (8, 8)
     flat = pkg.public_coefficients.reshape(-1, 64).copy()
     for block_id, coef_id, value in pkg.secret:
         flat[block_id, coef_id] = value
