@@ -16,11 +16,17 @@ from the data. The seeds default to the run seed (the attack's to run seed
 seed``, else ``$PRIVSPLIT_SEED``, else 0; ``--seed`` replaces both file
 seeds, while an explicit ``[attack] seed`` still sets the attack's. The
 keys that are not fields are ``[data]`` ``kind``, ``source_dir``,
-``size``, ``class_count`` and ``per_class`` (the tiny-image set);
-``[attack]`` ``methods``, ``model_checkpoint``, ``msednet_checkpoint``,
-``pixelate_factor``, ``blur_radius`` and ``p3_threshold``; ``[sweep]``
-``proportions``; and ``[plot]`` ``points_per_cluster``. A sweep trains each
-proportion for ``[train] iterations``.
+``size``, ``class_count`` and ``per_class``; ``[attack]`` ``methods``,
+``model_checkpoint``, ``msednet_checkpoint``, ``pixelate_factor``,
+``blur_radius`` and ``p3_threshold``; ``[sweep]`` ``proportions``; and
+``[plot]`` ``points_per_cluster``. ``[data] kind`` is ``toy`` (the default,
+and ``train-toy``'s) or ``tiny`` (``train-image``'s). Only ``toy`` reads
+``cluster_count``, ``points_per_cluster``, ``center_box`` and
+``cluster_std``; only ``tiny`` reads ``source_dir``, ``size``,
+``class_count`` and ``per_class``; a key or ``kind`` a run would ignore
+exits 2. A sweep trains each proportion for ``[train] iterations`` and
+attacks it as ``attack`` does, so ``sweep.csv`` has ``report.csv``'s
+columns and one ``Ours(<proportion>)`` row per proportion.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage error, 3 I/O error,
 141 (128 + SIGPIPE) when the reader of stdout closed it early, as in
@@ -55,11 +61,12 @@ from .datasets import (
 from .evaluation import (
     AttackConfig,
     ObfuscationMethod,
-    attack_train_eval,
+    attack_method,
     compare_methods,
     psnr,
     scatter_report,
     separability,
+    write_report_csv,
 )
 from .image import Image, load_pixmap, save_pixmap
 from .models import (
@@ -120,6 +127,9 @@ _EXTRA_KEYS = {
 _SECTION_CONFIGS = {"data": ClusterSpec, "train": TrainConfig, "attack": AttackConfig}
 _INI_NAMES = {"lam": "lambda"}
 _TINY_KEYS = {"source_dir": str, "size": int, "class_count": int, "per_class": int, "seed": int}
+# the [data] keys that only the other kind of set reads, so a run of this kind rejects them
+_FOREIGN_KEYS = {"toy": set(_TINY_KEYS) - {"seed"},
+                 "tiny": {f.name for f in fields(ClusterSpec)} - {"seed"}}
 
 
 def _ini_fields(cls) -> list:
@@ -229,15 +239,23 @@ def attack_config_from(config: dict, seed: int) -> AttackConfig:
     return _from_section(AttackConfig, config, "attack", seed=seed + 1)
 
 
-def dataset_from(config: dict, seed: int) -> LabeledDataset:
-    kind = _get(config, "data", "kind", "toy", str)
+def dataset_from(config: dict, seed: int, kind: str | None = None) -> LabeledDataset:
+    """The `[data]` set of `data.kind`, which a command may fix as `kind`."""
+    data = config.get("data", {})
+    file_kind = _get(config, "data", "kind", kind or "toy", str)
+    if kind is not None and file_kind != kind:
+        raise usage_error(f"this command needs data.kind = {kind}, got {file_kind!r}")
+    kind = file_kind
+    if kind not in _FOREIGN_KEYS:
+        raise usage_error(f"data.kind must be toy or tiny, got {kind!r}")
+    foreign = sorted(_FOREIGN_KEYS[kind] & data.keys())
+    if foreign:
+        raise usage_error(f"data.kind = {kind} does not read [data] {', '.join(foreign)}")
     if kind == "toy":
         return gen_toy_clusters(_from_section(ClusterSpec, config, "data", seed=seed))
-    if kind == "tiny":
-        tiny = {key: _get(config, "data", key, None, convert)
-                for key, convert in _TINY_KEYS.items() if key in config.get("data", {})}
-        return make_tiny_image_dataset(**{"seed": seed, **tiny})
-    raise usage_error(f"data.kind must be toy or tiny, got {kind!r}")
+    tiny = {key: _get(config, "data", key, None, convert)
+            for key, convert in _TINY_KEYS.items() if key in data}
+    return make_tiny_image_dataset(**{"seed": seed, **tiny})
 
 
 def write_run_files(outdir: Path, command: str, config: dict, seed: int) -> None:
@@ -362,9 +380,7 @@ def _train_and_hold_out(dataset: LabeledDataset, tcfg: TrainConfig, outdir: Path
 
 
 def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
-    dataset = dataset_from(config, seed)
-    if dataset.width != 2:
-        raise usage_error("train-toy needs 2-D data (data.kind = toy)")
+    dataset = dataset_from(config, seed, "toy")
     tcfg = _from_section(TrainConfig, config, "train", seed=seed, input_width=2)
     acfg = attack_config_from(config, tcfg.seed)
     plot_n = _get(config, "plot", "points_per_cluster", 200, int)
@@ -398,7 +414,7 @@ def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
 
 
 def cmd_train_image(config: dict, outdir: Path, seed: int) -> int:
-    dataset = dataset_from({**config, "data": {**config.get("data", {}), "kind": "tiny"}}, seed)
+    dataset = dataset_from(config, seed, "tiny")
     tcfg = _from_section(TrainConfig, config, "train", seed=seed, input_width=dataset.width,
                          use_perceptual=True)
     write_run_files(outdir, "train-image", config, tcfg.seed)
@@ -425,7 +441,7 @@ def _load_model(checkpoint, width: int) -> ModelBundle:
     return bundle
 
 
-def cmd_obfuscate(args) -> int:
+def cmd_obfuscate(args, seed: int) -> int:
     img = load_pixmap(args.input)
     if args.method == "pixelate":
         out = pixelate(img, args.factor)
@@ -444,7 +460,7 @@ def cmd_obfuscate(args) -> int:
             raise usage_error("--checkpoint is required for method=model")
         bundle = _load_model(args.checkpoint, img.pixels.size)
         features = pixels_to_features(img.pixels).reshape(1, -1)
-        noise = NoiseSpec(std=args.noise_std, seed=args.seed or 0)
+        noise = NoiseSpec(std=args.noise_std, seed=seed)
         encrypted = encrypt(Tensor(features), bundle, noise).data
         out = Image(img.width, img.height, img.channels,
                     features_to_pixels(encrypted).reshape(img.pixels.shape))
@@ -497,10 +513,7 @@ def _image_space_method(name, key, dataset, transform) -> ObfuscationMethod:
     return ObfuscationMethod(name, encrypt_fn)
 
 
-def _model_method(name: str, checkpoint: str, noise_std: float,
-                  expected_width: int) -> ObfuscationMethod:
-    bundle = _load_model(checkpoint, expected_width)
-
+def _model_method(name: str, bundle: ModelBundle, noise_std: float) -> ObfuscationMethod:
     def encrypt_fn(features: np.ndarray, rng) -> np.ndarray:
         noise = NoiseSpec(std=noise_std, seed=int(rng.integers(2**62)))
         return encrypt(Tensor(features), bundle, noise).data
@@ -533,16 +546,12 @@ def build_methods(config: dict, dataset: LabeledDataset, noise_std: float) -> li
                 lambda px, t=threshold: p3_public_stack(px, t))
             method.proportion = _mean_secret_proportion(dataset, threshold)
             methods.append(method)
-        elif name == "model":
-            ckpt = config.get("attack", {}).get("model_checkpoint")
+        elif name in ("model", "msednet"):
+            ckpt = config.get("attack", {}).get(f"{name}_checkpoint")
             if not ckpt:
-                raise usage_error("attack.model_checkpoint is required for method model")
-            methods.append(_model_method("Ours", ckpt, noise_std, dataset.width))
-        elif name == "msednet":
-            ckpt = config.get("attack", {}).get("msednet_checkpoint")
-            if not ckpt:
-                raise usage_error("attack.msednet_checkpoint is required for method msednet")
-            methods.append(_model_method("MSEDNet", ckpt, noise_std, dataset.width))
+                raise usage_error(f"attack.{name}_checkpoint is required for method {name}")
+            label = "Ours" if name == "model" else "MSEDNet"
+            methods.append(_model_method(label, _load_model(ckpt, dataset.width), noise_std))
         else:
             raise usage_error(f"unknown attack method {name!r}")
     return methods
@@ -586,28 +595,16 @@ def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
     sweep = [replace(base, privacy_proportion=p) for p in proportions]
     acfg = attack_config_from(config, seed)
     write_run_files(outdir, "sweep-proportion", config, seed)
-    peak = float(dataset.features.max() - dataset.features.min())
-    held = dataset.heldout_idx
-    rows = []
+    reports = []
     for tcfg in sweep:
         proportion = tcfg.privacy_proportion
         bundle, _ = train(dataset.features[dataset.train_idx], tcfg)
-        recon = reconstruct(Tensor(dataset.features), bundle).data
-        rng = np.random.default_rng(tcfg.seed + 31337)
-        noise = NoiseSpec(std=tcfg.noise_std, seed=int(rng.integers(2**62)))
-        encrypted = encrypt(Tensor(dataset.features), bundle, noise).data
-        accuracy = attack_train_eval(dataset.with_features(encrypted), acfg)
-        rows.append((str(proportion),
-                     psnr(recon[held], dataset.features[held], peak),
-                     psnr(encrypted[held], dataset.features[held], peak),
-                     accuracy))
-        print(f"proportion {proportion}: recon {rows[-1][1]:.2f} dB, "
-              f"encrypted {rows[-1][2]:.2f} dB, attack {accuracy:.4f}")
-    with open(outdir / "sweep.csv", "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("proportion", "psnr_recon_db", "psnr_encrypted_db", "accuracy"))
-        for row in rows:
-            writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
+        method = _model_method(f"Ours({proportion})", bundle, tcfg.noise_std)
+        r = attack_method(dataset, method, acfg, np.random.default_rng(tcfg.seed + 31337))
+        reports.append(r)
+        print(f"proportion {proportion}: recon {r.psnr_recon_db:.2f} dB, "
+              f"encrypted {r.psnr_encrypted_db:.2f} dB, attack {r.accuracy:.4f}")
+    write_report_csv(reports, outdir / "sweep.csv")
     print(f"sweep -> {outdir / 'sweep.csv'}")
     return 0
 
@@ -688,8 +685,7 @@ def main(argv=None) -> int:
         if args.command == "train-image":
             return cmd_train_image(config, args.out, seed)
         if args.command == "obfuscate":
-            args.seed = seed
-            return cmd_obfuscate(args)
+            return cmd_obfuscate(args, seed)
         if args.command == "attack":
             return cmd_attack(config, args.out, seed)
         if args.command == "sweep-proportion":

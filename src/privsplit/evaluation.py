@@ -4,7 +4,7 @@ The attack is the supervised protocol (McPherson et al., arXiv 1609.00408):
 a fresh MLP classifier is trained on the encrypted samples with their true
 labels, and its held-out accuracy measures how much recognizable signal the
 obfuscation leaks. The classifier never shares parameters with the trained
-encryption model or its discriminator. :func:`compare_methods` reports each
+encryption model or its discriminator. :func:`attack_method` reports each
 accuracy with a Wilson 95 % interval over the held-out count. There is one
 probe: :func:`separability` runs the same classifier on reconstructed
 against encrypted samples, split by source (a classifier two-sample test,
@@ -181,44 +181,51 @@ def _interval(accuracy: float, n: int) -> dict[str, float]:
     return {"ci_low": low, "ci_high": high}
 
 
+def attack_method(dataset: LabeledDataset, method: ObfuscationMethod,
+                  config: AttackConfig, rng: np.random.Generator) -> AttackReport:
+    """The report row of `method`, whose encryption of the whole set is attacked.
+
+    `method.encrypt(dataset.features, rng)` must keep the feature shape. The
+    accuracy, with its Wilson interval, is :func:`attack_train_eval`'s under
+    `config`. The PSNRs compare the held-out encrypted (and reconstructed)
+    rows with the original ones, the peak being the set's value range.
+    """
+    held = dataset.heldout_idx
+    original_held = dataset.features[held]
+    peak = float(dataset.features.max() - dataset.features.min())
+    encrypted = method.encrypt(dataset.features, rng)
+    if encrypted.shape != dataset.features.shape:
+        raise ValueError(f"method {method.name} changed the feature shape")
+    accuracy = attack_train_eval(dataset.with_features(encrypted), config)
+    psnr_enc = psnr(encrypted[held], original_held, peak)
+    psnr_rec = None
+    if method.reconstruct is not None:
+        recon = method.reconstruct(dataset.features)
+        psnr_rec = psnr(recon[held], original_held, peak)
+    return AttackReport(method.name, accuracy, 1.0 / dataset.class_count, psnr_rec, psnr_enc,
+                        method.proportion, **_interval(accuracy, held.size))
+
+
 def compare_methods(dataset: LabeledDataset, methods: list[ObfuscationMethod],
                     config: AttackConfig, csv_path=None) -> list[AttackReport]:
-    """One attack run per method plus Original and Random reference rows.
+    """One :func:`attack_method` row per method plus Original and Random reference rows.
 
-    PSNRs are computed on the held-out split against the original features,
-    with the peak set to the original set's empirical value range. A failing
+    Original attacks the untouched features; it must not fail. A failing
     method is reported with NaN accuracy and the error in its note; the
     remaining rows are still produced.
     """
     chance = 1.0 / dataset.class_count
-    held = dataset.heldout_idx
-    original_held = dataset.features[held]
-    peak = float(dataset.features.max() - dataset.features.min())
-    seed_root = np.random.SeedSequence(config.seed)
-    streams = seed_root.spawn(len(methods) + 1)
-
-    original = attack_train_eval(dataset, _reseed(config, streams[0]))
+    streams = np.random.SeedSequence(config.seed).spawn(len(methods) + 1)
+    original = ObfuscationMethod("Original", lambda features, rng: features)
     reports = [
-        AttackReport("Original", original, chance, None, math.inf, None,
-                     **_interval(original, held.size)),
+        attack_method(dataset, original, _reseed(config, streams[0]),
+                      np.random.default_rng(streams[0])),
         AttackReport("Random", chance, chance, None, None, None),
     ]
     for method, stream in zip(methods, streams[1:]):
-        cfg = _reseed(config, stream)
         try:
-            rng = np.random.default_rng(stream)
-            encrypted = method.encrypt(dataset.features, rng)
-            if encrypted.shape != dataset.features.shape:
-                raise ValueError(f"method {method.name} changed the feature shape")
-            accuracy = attack_train_eval(dataset.with_features(encrypted), cfg)
-            psnr_enc = psnr(encrypted[held], original_held, peak)
-            psnr_rec = None
-            if method.reconstruct is not None:
-                recon = method.reconstruct(dataset.features)
-                psnr_rec = psnr(recon[held], original_held, peak)
-            reports.append(AttackReport(method.name, accuracy, chance,
-                                        psnr_rec, psnr_enc, method.proportion,
-                                        **_interval(accuracy, held.size)))
+            reports.append(attack_method(dataset, method, _reseed(config, stream),
+                                         np.random.default_rng(stream)))
         except (ValueError, RuntimeError) as exc:
             reports.append(AttackReport(method.name, math.nan, chance,
                                         None, None, method.proportion, note=str(exc)))
@@ -240,8 +247,6 @@ def write_report_csv(reports: list[AttackReport], path) -> None:
     def cell(v):
         if v is None:
             return ""
-        if isinstance(v, float) and math.isinf(v):
-            return "inf"
         return repr(float(v)) if isinstance(v, float) else str(v)
 
     with open(path, "w", newline="", encoding="ascii") as fh:

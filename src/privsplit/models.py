@@ -29,10 +29,10 @@ from .autodiff import Tensor, add, concat, dense, slice_cols
 
 @dataclass
 class NoiseSpec:
-    """Seeded additive white Gaussian noise (default std 1)."""
+    """Seeded additive white Gaussian noise."""
 
-    std: float = 1.0
-    seed: int = 0
+    std: float
+    seed: int
 
     def __post_init__(self):
         if not (math.isfinite(self.std) and self.std >= 0):

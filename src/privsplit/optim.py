@@ -13,6 +13,9 @@ from .autodiff import Tensor
 # across the update's passes.
 _BLOCK = 1 << 15
 
+# the decay rates of the moment estimates and the denominator's stabilizer
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Adam over a list of parameter tensors, updated in place.
@@ -42,10 +45,9 @@ class Adam:
     arithmetic; parameters of mixed dtypes raise ValueError.
     """
 
-    def __init__(self, params: list[Tensor], alpha: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: list[Tensor], alpha: float = 1e-3):
         self.params = list(params)
-        self.alpha, self.beta1, self.beta2, self.epsilon = alpha, beta1, beta2, epsilon
+        self.alpha = alpha
         self.step_count = 0
         dtypes = {p.data.dtype for p in self.params}
         if len(dtypes) > 1:
@@ -80,17 +82,17 @@ class Adam:
                       v: np.ndarray, t: int) -> None:
         tmp = self._tmp[:params.size]
         v_hat = self._vhat[:params.size]
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=tmp)
         m += tmp
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=tmp)
         tmp *= g
         v += tmp
-        np.divide(m, 1.0 - self.beta1 ** t, out=tmp)  # m_hat
-        np.divide(v, 1.0 - self.beta2 ** t, out=v_hat)
+        np.divide(m, 1.0 - BETA1 ** t, out=tmp)  # m_hat
+        np.divide(v, 1.0 - BETA2 ** t, out=v_hat)
         np.sqrt(v_hat, out=v_hat)
-        v_hat += self.epsilon
+        v_hat += EPSILON
         tmp *= self.alpha
         tmp /= v_hat
         params -= tmp

@@ -93,9 +93,6 @@ class TrainConfig:
     batch_size: int = 64
     lam: float = 0.01
     alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     noise_std: float = 1.0
     seed: int = 0
     ablation: str = "full"
@@ -111,14 +108,8 @@ class TrainConfig:
             raise ValueError("batch size must be at least 1")
         if self.lam < 0:
             raise ValueError("lam must be non-negative")
-        for name in ("alpha", "epsilon"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0 <= value < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std}")
         if self.seed < 0:
@@ -230,8 +221,7 @@ def train(features, config: TrainConfig,
 
     full = config.ablation == "full"  # only full trains the discriminator
     opt = Adam(bundle.all_parameters() if full else bundle.generator_parameters(),
-               alpha=config.alpha, beta1=config.beta1, beta2=config.beta2,
-               epsilon=config.epsilon)
+               alpha=config.alpha)
     view = bundle.detached()  # after Adam has moved the weights into its buffer
 
     def snapshot(done: int) -> None:

@@ -7,6 +7,7 @@ import struct
 import tempfile
 import zipfile
 from dataclasses import asdict, fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,16 @@ from privsplit.autodiff import Tensor
 from privsplit.datasets import (
     ClusterSpec,
     features_to_pixels,
+    gen_toy_clusters,
     make_tiny_image_dataset,
     pixels_to_features,
 )
-from privsplit.evaluation import AttackConfig
+from privsplit.evaluation import REPORT_COLUMNS, AttackConfig, attack_train_eval, psnr
 from privsplit.image import Image, load_pixmap, save_pixmap
 from privsplit.obfuscation import gaussian_blur, pixelate
-from privsplit.models import NoiseSpec, encrypt
+from privsplit.models import NoiseSpec, encrypt, reconstruct
 from privsplit.p3 import p3_encode, serialize_secret
-from privsplit.training import TrainConfig, TrainingDivergedError, load_checkpoint
+from privsplit.training import TrainConfig, TrainingDivergedError, load_checkpoint, train
 
 
 def test_diverged_training_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
@@ -407,8 +409,41 @@ def test_sweep_proportion_on_toy_data_writes_one_row_per_proportion(tmp_path):
     assert cli.main(["sweep-proportion", "--config", str(config), "--out", str(run)]) == 0
     with open(run / "sweep.csv", newline="", encoding="ascii") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["proportion", "psnr_recon_db", "psnr_encrypted_db", "accuracy"]
-    assert [row[0] for row in rows[1:]] == ["1/64", "1/4"]
+    assert tuple(rows[0]) == REPORT_COLUMNS
+    assert [row[0] for row in rows[1:]] == ["Ours(1/64)", "Ours(1/4)"]
+
+
+def test_sweep_rows_equal_a_train_encrypt_attack_loop_bitwise(tmp_path):
+    # each proportion trains, then encrypts the whole set with a noise seed
+    # drawn from default_rng(seed + 31337) and attacks it with the run's
+    # attack config; the PSNRs are the held-out rows' against the originals
+    seed, proportions = 4, (Fraction(1, 64), Fraction(1, 4))
+    config = tmp_path / "sweep.ini"
+    config.write_text("[data]\npoints_per_cluster = 20\n\n[train]\niterations = 3\n\n"
+                      "[attack]\niterations = 20\n\n[sweep]\nproportions = 1/64, 1/4\n")
+    run = tmp_path / "run"
+    assert cli.main(["--seed", str(seed), "sweep-proportion", "--config", str(config),
+                     "--out", str(run)]) == 0
+    with open(run / "sweep.csv", newline="", encoding="ascii") as fh:
+        rows = list(csv.DictReader(fh))
+
+    dataset = gen_toy_clusters(ClusterSpec(points_per_cluster=20, seed=seed))
+    acfg = AttackConfig(iterations=20, seed=seed + 1)
+    features, held = dataset.features, dataset.heldout_idx
+    peak = float(features.max() - features.min())
+    assert [row["method"] for row in rows] == [f"Ours({p})" for p in proportions]
+    for row, proportion in zip(rows, proportions):
+        tcfg = TrainConfig(iterations=3, seed=seed, input_width=2, privacy_proportion=proportion)
+        bundle, _ = train(features[dataset.train_idx], tcfg)
+        recon = reconstruct(Tensor(features), bundle).data
+        rng = np.random.default_rng(seed + 31337)
+        noise = NoiseSpec(std=tcfg.noise_std, seed=int(rng.integers(2**62)))
+        encrypted = encrypt(Tensor(features), bundle, noise).data
+        expected = (attack_train_eval(dataset.with_features(encrypted), acfg),
+                    psnr(recon[held], features[held], peak),
+                    psnr(encrypted[held], features[held], peak))
+        got = tuple(float(row[k]) for k in ("accuracy", "psnr_recon_db", "psnr_encrypted_db"))
+        assert got == expected
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +466,21 @@ def run_with_config(tmp_path, text, command="train-toy"):
      "error: bad value for sweep.proportions: '1/64, 1/0'"),
     ("sweep-proportion", "[sweep]\nproportions = abc\n",
      "error: bad value for sweep.proportions: 'abc'"),
+    ("train-toy", "[train]\nbeta1 = 0.9\n", "error: unknown key 'beta1' in section [train]"),
+    ("train-toy", "[train]\nbeta2 = 0.999\n", "error: unknown key 'beta2' in section [train]"),
+    ("train-toy", "[train]\nepsilon = 1e-8\n", "error: unknown key 'epsilon' in section [train]"),
+    ("train-toy", "[data]\nper_class = 5\nsize = 8\n",
+     "error: data.kind = toy does not read [data] per_class, size"),
+    ("train-toy", "[data]\nkind = tiny\n", "error: this command needs data.kind = toy, got 'tiny'"),
+    ("train-image", "[data]\nkind = toy\ncluster_count = 3\n",
+     "error: this command needs data.kind = tiny, got 'toy'"),
+    ("train-image", "[data]\ncluster_count = 3\n",
+     "error: data.kind = tiny does not read [data] cluster_count"),
+    ("attack", "[data]\nkind = tiny\ncluster_count = 3\n",
+     "error: data.kind = tiny does not read [data] cluster_count"),
 ], ids=["percent", "not-utf8", "default-section", "sweep-iterations", "sweep-zero-denominator",
-        "sweep-not-a-fraction"])
+        "sweep-not-a-fraction", "beta1", "beta2", "epsilon", "toy-with-tiny-keys", "toy-told-tiny",
+        "image-told-toy", "image-with-toy-key", "attack-tiny-with-toy-key"])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, command, text, message):
     assert run_with_config(tmp_path, text, command) == 2
     captured = capsys.readouterr()
@@ -449,7 +497,6 @@ TINY_ATTACK = "[data]\nkind = tiny\nper_class = 20\n\n[attack]\niterations = 5\n
     ("train-toy", "[attack]\nbatch_size = 0\n", "error: attack batch_size must be at least 1"),
     ("sweep-proportion", "[attack]\niterations = 0\n", "error: attack iterations must be at least 1"),
     ("train-toy", "[attack]\nalpha = nan\n", "error: attack alpha must be finite and positive"),
-    ("train-toy", "[train]\nbeta1 = 1.8\n", "error: beta1 must be in [0, 1)"),
     ("train-toy", "[train]\nnoise_std = -1\n", "error: noise_std must be finite and non-negative"),
     ("train-toy", "[attack]\nseed = -1\n", "error: attack seed must be non-negative"),
     ("attack", TINY_ATTACK + "methods = pixelate\npixelate_factor = 0\n",
@@ -465,7 +512,7 @@ TINY_ATTACK = "[data]\nkind = tiny\nper_class = 20\n\n[attack]\niterations = 5\n
      "error: noise_std must be finite and non-negative, got nan"),
     ("attack", TINY_ATTACK + "methods = pixelate\n\n[train]\nnoise_std = inf\n",
      "error: noise_std must be finite and non-negative, got inf"),
-], ids=["attack-batch-size", "sweep-attack-iterations", "attack-alpha", "beta1", "noise-std",
+], ids=["attack-batch-size", "sweep-attack-iterations", "attack-alpha", "noise-std",
         "attack-seed", "pixelate-factor", "blur-radius", "plot-points", "sweep-no-proportions",
         "attack-noise-std-negative", "attack-noise-std-nan", "attack-noise-std-inf"])
 def test_invalid_run_config_exits_1_before_writing_anything(tmp_path, capsys, command, text,
@@ -556,7 +603,7 @@ def other_value(value):
     if isinstance(value, str):
         return "msednet"  # the only str field, TrainConfig.ablation
     if isinstance(value, float):
-        return value / 2  # no default is 0, and halving keeps beta1 and beta2 below 1
+        return value / 2  # no default is 0
     return value * 2  # 2/64 of any feature width still divides
 
 

@@ -126,7 +126,7 @@ class TestEncodeMerge:
     (discriminate, "input_width"),
     (perceptual_features, "input_width"),
     (reconstruct, "input_width"),
-    (lambda x, b: encrypt(x, b, NoiseSpec(seed=1)), "input_width"),
+    (lambda x, b: encrypt(x, b, NoiseSpec(std=1.0, seed=1)), "input_width"),
 ], ids=["encode", "decode", "discriminate", "perceptual_features", "reconstruct", "encrypt"])
 def test_a_batch_one_column_too_wide_is_rejected(view, forward, width):
     bundle = toy_bundle()
@@ -151,14 +151,14 @@ class TestFakePrivacy:
 
     def test_seed_determinism(self):
         x = Tensor(np.ones((3, 2)))
-        a = fake_privacy(x, NoiseSpec(seed=11))
-        b = fake_privacy(x, NoiseSpec(seed=11))
+        a = fake_privacy(x, NoiseSpec(std=1.0, seed=11))
+        b = fake_privacy(x, NoiseSpec(std=1.0, seed=11))
         assert np.array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("std", [-1.0, float("nan"), float("inf")])
     def test_negative_or_non_finite_std_rejected(self, std):
         with pytest.raises(ValueError, match="noise std must be finite and non-negative"):
-            NoiseSpec(std=std)
+            NoiseSpec(std=std, seed=0)
 
 
 class TestReconstructEncrypt:
@@ -183,8 +183,8 @@ class TestReconstructEncrypt:
     def test_different_seeds_differ(self):
         bundle = toy_bundle()
         x = Tensor(np.ones((2, 2)))
-        a = encrypt(x, bundle, NoiseSpec(seed=1))
-        b = encrypt(x, bundle, NoiseSpec(seed=2))
+        a = encrypt(x, bundle, NoiseSpec(std=1.0, seed=1))
+        b = encrypt(x, bundle, NoiseSpec(std=1.0, seed=2))
         assert not np.array_equal(a.data, b.data)
 
     def test_shape_preserved_across_widths(self):
@@ -192,7 +192,7 @@ class TestReconstructEncrypt:
             bundle = toy_bundle(input_width=input_width)
             x = Tensor(np.zeros((3, input_width)))
             assert reconstruct(x, bundle).shape == (3, input_width)
-            assert encrypt(x, bundle, NoiseSpec(seed=0)).shape == (3, input_width)
+            assert encrypt(x, bundle, NoiseSpec(std=1.0, seed=0)).shape == (3, input_width)
 
 
 def split_merge_reference(x, bundle, noise=None):

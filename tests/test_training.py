@@ -270,7 +270,7 @@ class TestSnapshotMemory:
             tracemalloc.start()
             try:
                 reconstruct(plot_x, view)
-                encrypt(plot_x, view, NoiseSpec(seed=3))
+                encrypt(plot_x, view, NoiseSpec(std=1.0, seed=3))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -287,7 +287,7 @@ class TestReturnedModels:
         bundle, _ = train(small_blobs(), quick_config(ablation=ablation, iterations=2))
         assert not any(p.requires_grad for p in bundle.all_parameters())
         x = Tensor(small_blobs()[:8])
-        for out in (reconstruct(x, bundle), encrypt(x, bundle, NoiseSpec(seed=1))):
+        for out in (reconstruct(x, bundle), encrypt(x, bundle, NoiseSpec(std=1.0, seed=1))):
             assert out._parents == () and not out.requires_grad
 
     def test_trained_discriminator_and_features_record_no_graph(self):
@@ -371,7 +371,7 @@ class TestAblations:
 
         def snap(i, bundle):
             phi = lambda t: perceptual_features(t, bundle).data
-            x_e = encrypt(x, bundle, NoiseSpec(seed=5))
+            x_e = encrypt(x, bundle, NoiseSpec(std=1.0, seed=5))
             dists[i] = float(np.mean((phi(x_e) - phi(x)) ** 2))
 
         _, history = train(data, cfg, snapshot_iters={0, 400, 800, 1200, 1600},
@@ -391,7 +391,7 @@ class TestAblations:
         # recompute the op on the same state: cheap structural cross-check
         x = Tensor(data[:8])
         x_r = reconstruct(x, bundle)
-        x_e = encrypt(x, bundle, NoiseSpec(seed=1))
+        x_e = encrypt(x, bundle, NoiseSpec(std=1.0, seed=1))
         phi = lambda t: perceptual_features(t, bundle)
         _, _, combined = reconstruction_loss(x_r, x, phi, 0.01)
         val = msednet_loss(combined, x, x_e, phi).item()
@@ -448,7 +448,7 @@ class TestBitwisePins:
 
         def panel(done, bundle):
             digest.update(reconstruct(plot_x, bundle).data.tobytes())
-            digest.update(encrypt(plot_x, bundle, NoiseSpec(seed=7)).data.tobytes())
+            digest.update(encrypt(plot_x, bundle, NoiseSpec(std=1.0, seed=7)).data.tobytes())
 
         train(small_blobs(), quick_config(iterations=12), snapshot_iters={0, 6, 12},
               snapshot_fn=panel)
@@ -478,8 +478,6 @@ class TestTrainConfigValidation:
 
     @pytest.mark.parametrize("name, value", [
         ("alpha", 0.0), ("alpha", -1e-3), ("alpha", math.inf), ("alpha", math.nan),
-        ("epsilon", 0.0), ("epsilon", math.inf),
-        ("beta1", -0.1), ("beta1", 1.0), ("beta1", 1.8), ("beta2", 1.0), ("beta2", math.nan),
         ("noise_std", -1.0), ("noise_std", math.inf), ("noise_std", math.nan),
     ])
     def test_bad_optimizer_and_noise_settings(self, name, value):
@@ -491,7 +489,7 @@ class TestTrainConfigValidation:
             TrainConfig(iterations=1, seed=-1)
 
     def test_edge_optimizer_and_noise_settings_are_accepted(self):
-        TrainConfig(iterations=1, beta1=0.0, beta2=0.0, noise_std=0.0)
+        TrainConfig(iterations=1, alpha=5e-324, noise_std=0.0)
 
     def test_proportion_must_divide_feature_width(self):
         with pytest.raises(ValueError, match="positive integer"):
@@ -535,14 +533,14 @@ class TestCheckpoints:
         loaded, loaded_history = load_checkpoint(path)
         x = Tensor(data[:20])
         assert np.array_equal(reconstruct(x, bundle).data, reconstruct(x, loaded).data)
-        noise = NoiseSpec(seed=9)
+        noise = NoiseSpec(std=1.0, seed=9)
         assert np.array_equal(encrypt(x, bundle, noise).data, encrypt(x, loaded, noise).data)
         assert loaded_history.l_g_total == history.l_g_total
         assert loaded_history.l_d == history.l_d
 
     def test_loaded_bundle_records_no_graph(self, tmp_path):
         loaded, _ = load_checkpoint(saved_checkpoint(tmp_path))
-        out = encrypt(Tensor(small_blobs()[:5]), loaded, NoiseSpec(seed=1))
+        out = encrypt(Tensor(small_blobs()[:5]), loaded, NoiseSpec(std=1.0, seed=1))
         assert out._parents == () and not out.requires_grad
 
     def test_truncated_file_is_malformed(self, tmp_path):
