@@ -525,6 +525,25 @@ def test_invalid_run_config_exits_1_before_writing_anything(tmp_path, capsys, co
     assert not (tmp_path / "run").exists()  # so no resolved.ini or run_meta.json
 
 
+@pytest.mark.parametrize("kind, key", [
+    ("toy", "source_dir"), ("toy", "size"), ("toy", "class_count"), ("toy", "per_class"),
+    ("tiny", "cluster_count"), ("tiny", "points_per_cluster"), ("tiny", "center_box"),
+    ("tiny", "cluster_std"),
+])
+def test_dataset_from_rejects_each_key_only_the_other_kind_reads(kind, key):
+    with pytest.raises(cli.CliError, match=f"^data.kind = {kind} does not read "
+                                           f"\\[data\\] {key}$") as excinfo:
+        cli.dataset_from({"data": {"kind": kind, key: "3"}}, seed=0)
+    assert excinfo.value.exit_code == 2
+
+
+def test_dataset_from_reads_the_fixed_kind_when_the_file_names_none():
+    dataset = cli.dataset_from({"data": {"per_class": "20", "size": "8"}}, seed=5, kind="tiny")
+    expected = make_tiny_image_dataset(size=8, per_class=20, seed=5)
+    assert np.array_equal(dataset.features, expected.features)
+    assert np.array_equal(dataset.labels, expected.labels)
+
+
 def test_percent_in_a_value_round_trips_through_resolved_ini(tmp_path):
     config = {"attack": {"model_checkpoint": "runs/100%/checkpoint.npz"}}
     cli.write_run_files(tmp_path, "attack", config, seed=3)

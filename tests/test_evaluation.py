@@ -13,6 +13,7 @@ from privsplit.datasets import ClusterSpec, gen_toy_clusters
 from privsplit.evaluation import (
     AttackConfig,
     ObfuscationMethod,
+    attack_method,
     attack_train_eval,
     compare_methods,
     psnr,
@@ -245,6 +246,51 @@ class TestSeparability:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             separability(np.zeros((0, 2)), np.zeros((3, 2)), FAST)
+
+
+class TestAttackMethod:
+    def test_noise_comes_from_the_given_generator(self):
+        ds = toy(seed=4, per=40)
+        noisy = ObfuscationMethod("noisy", lambda f, rng: f + rng.normal(size=f.shape),
+                                  proportion=0.25)
+        cfg = AttackConfig(iterations=100, seed=2)
+        report = attack_method(ds, noisy, cfg, np.random.default_rng(8))
+        encrypted = noisy.encrypt(ds.features, np.random.default_rng(8))
+        held = ds.heldout_idx
+        peak = float(ds.features.max() - ds.features.min())
+        assert report.method == "noisy" and report.proportion == 0.25
+        assert report.accuracy == attack_train_eval(ds.with_features(encrypted), cfg)
+        assert report.psnr_encrypted_db == psnr(encrypted[held], ds.features[held], peak)
+        assert report.psnr_recon_db is None  # the method has no reconstruction
+        assert report.chance == 1.0 / ds.class_count
+        n = held.size
+        assert (report.ci_low, report.ci_high) == wilson_interval(round(report.accuracy * n), n)
+
+    def test_reconstruction_psnr_is_over_the_held_out_rows(self):
+        ds = toy(seed=5, per=40)
+        shifted = ObfuscationMethod("shifted", lambda f, rng: f.copy(),
+                                    reconstruct=lambda f: f + 0.5)
+        report = attack_method(ds, shifted, AttackConfig(iterations=50, seed=1),
+                               np.random.default_rng(0))
+        held = ds.heldout_idx
+        peak = float(ds.features.max() - ds.features.min())
+        assert report.psnr_encrypted_db == math.inf
+        assert report.psnr_recon_db == psnr(ds.features[held] + 0.5, ds.features[held], peak)
+
+    def test_a_method_that_changes_the_feature_shape_raises(self):
+        ds = toy(seed=6, per=20)
+        dropped = ObfuscationMethod("dropped", lambda f, rng: f[:, :1])
+        with pytest.raises(ValueError, match="method dropped changed the feature shape"):
+            attack_method(ds, dropped, FAST, np.random.default_rng(0))
+
+    def test_a_failing_original_row_raises_from_compare_methods(self, monkeypatch):
+        def failing(dataset, config):
+            raise RuntimeError("attack diverged")
+
+        monkeypatch.setattr(evaluation, "attack_train_eval", failing)
+        with pytest.raises(RuntimeError, match="attack diverged"):
+            compare_methods(toy(seed=7, per=20),
+                            [ObfuscationMethod("identity", lambda f, rng: f.copy())], FAST)
 
 
 class TestCompareMethods:
