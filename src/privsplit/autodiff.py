@@ -44,18 +44,20 @@ Mixing float32 and float64 operands promotes to float64; keep one graph in
 one dtype.
 
 :func:`dense` rejects a NaN or infinite operand with
-:class:`NonFiniteError`, but it scans only the product, which is far
-smaller than the operands (64 x 128 values against 64 x 1024 + 1024 x 128
-in an image layer). That is exact under IEEE arithmetic: a NaN or an
-infinity in row i of the left operand, or in column j of the right one,
-turns every entry of row i, or of column j, of a non-empty product into a
-NaN or an infinity, since NaN times anything is NaN and 0 times infinity
-is NaN too. This needs a matmul kernel that skips no zero term;
+:class:`NonFiniteError`, but it scans only the pre-activation ``x @ w + b``,
+which is far smaller than the operands (64 x 128 values against 64 x 1024 +
+1024 x 128 in an image layer). That is exact under IEEE arithmetic: a NaN
+or an infinity in row i of the left operand, or in column j of the right
+one, turns every entry of row i, or of column j, of a non-empty product
+into a NaN or an infinity, since NaN times anything is NaN and 0 times
+infinity is NaN too, and adding a bias keeps such an entry a NaN or an
+infinity. This needs a matmul kernel that skips no zero term;
 ``tests/test_autodiff.py::TestNonFiniteOperands`` checks the linked BLAS,
-zero partners included, at every layer shape. Only when the product is
-not finite, or is empty, are the operands scanned, which names the op
-that saw them; a product that overflowed from finite operands passes as
-it did before.
+zero partners included, at every layer shape. Only when the pre-activation
+is not finite, or is empty, are the operands scanned, which names the op
+that saw them. A non-finite pre-activation from finite operands (a
+non-finite bias, or a product that overflowed) raises only where an
+activation would read it, and passes through a linear layer as before.
 """
 
 from __future__ import annotations
@@ -145,27 +147,6 @@ class NonFiniteError(ValueError):
     """An op saw a NaN or infinite input."""
 
 
-def _require_finite(t: Tensor, op: str) -> None:
-    if not np.isfinite(t.data).all():
-        raise NonFiniteError(f"{op}: non-finite input values")
-
-
-def _checked_product(a: Tensor, b: Tensor, op: str) -> np.ndarray:
-    """``a @ b``, raising NonFiniteError when either operand is not finite.
-
-    Only the product is scanned; the operands are scanned, in the order
-    a then b, only when the product is empty or not finite. See the module
-    docstring for why that finds every non-finite operand.
-    """
-    # 0 * inf raises the invalid flag; the operand scan below reports it instead
-    with np.errstate(invalid="ignore"):
-        out = a.data @ b.data
-    if out.size == 0 or not np.isfinite(out).all():
-        _require_finite(a, op)
-        _require_finite(b, op)
-    return out
-
-
 def _accumulate(t: Tensor, grad: np.ndarray, owned: bool = False) -> None:
     """Add `grad` into ``t.grad``.
 
@@ -234,15 +215,15 @@ class Graph:
         return len(self.nodes)
 
 
-def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Populate gradients of everything `loss` depends on.
+def backward(loss: Tensor) -> None:
+    """Populate ``grad`` of everything `loss` depends on.
 
     Grads of tensors inside the graph are cleared first and each node's
     first incoming gradient is stored, later ones added, so repeated calls
     from the same state are bitwise identical. An interior node's gradient
-    is dropped once its closure has routed it; the root and the leaves keep
-    theirs. Returns the gradient map for the requires-grad leaves (the
-    parameters).
+    is dropped once its closure has routed it; the root and the
+    requires-grad leaves (the parameters) keep theirs, where the caller
+    reads them.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -251,14 +232,13 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         if node.requires_grad:
             node.grad = None
     if not loss.requires_grad:
-        return {}
+        return
     loss.grad = np.ones_like(loss.data)
     for node in reversed(graph.nodes):
         if node._backprop is not None and node.requires_grad:
             node._backprop(node.grad)
             if node is not loss:
                 node.grad = None
-    return {n: n.grad for n in graph.nodes if n.requires_grad and not n._parents}
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +347,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
 
     Output and gradients equal a chain of separate product, bias-add and
     activation ops bitwise (``tests/test_autodiff.py`` keeps that chain). A
-    non-finite input raises :class:`NonFiniteError`, found by way of the
-    product, and so does a non-finite pre-activation when there is an
-    activation. The bias gradient is the column sum of the pre-activation
-    gradient.
+    non-finite `x` or `w` raises :class:`NonFiniteError`, found by way of the
+    pre-activation ``x @ w + b`` (its one scan), and so does any other
+    non-finite pre-activation when there is an activation. The bias
+    gradient is the column sum of the pre-activation gradient.
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ValueError(f"dense shape mismatch: {x.data.shape} x {w.data.shape}")
@@ -381,11 +361,16 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
         if act not in _ACTIVATIONS:
             raise ValueError(f"unknown activation kind {act!r}")
         forward, grad_of = _ACTIVATIONS[act]
-    y = _checked_product(x, w, "dense")
-    y += b.data
-    if act is not None:
-        if not np.isfinite(y).all():
+    # 0 * inf and inf - inf raise the invalid flag; the scan below reports them instead
+    with np.errstate(invalid="ignore"):
+        y = x.data @ w.data
+        y += b.data
+    if y.size == 0 or not np.isfinite(y).all():
+        if not (np.isfinite(x.data).all() and np.isfinite(w.data).all()):
+            raise NonFiniteError("dense: non-finite input values")
+        if act is not None and y.size:
             raise NonFiniteError(f"dense[{act}]: non-finite pre-activation values")
+    if act is not None:
         forward(y, out=y)
 
     def backprop(out_grad):
@@ -401,8 +386,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise ValueError("log: inputs must be strictly positive")
+    """Natural log, unchecked: its inputs are sigmoid outputs and one minus
+    them, which the one clamp keeps strictly positive."""
 
     def backprop(out_grad):
         if a.requires_grad:
@@ -520,8 +505,10 @@ def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor], eps: float = 1
     if eps <= 0:
         raise ValueError("eps must be positive")
     params = list(params)
-    grads = backward(f())
-    analytic = [grads[p].copy() if p in grads else np.zeros_like(p.data) for p in params]
+    for p in params:
+        p.grad = None
+    backward(f())
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
     floor = max([1e-12] + [1e-3 * float(np.abs(a).max(initial=0.0)) for a in analytic])
 
     worst = 0.0

@@ -279,14 +279,14 @@ def write_run_files(outdir: Path, command: str, config: dict, seed: int) -> None
 # check
 
 
-def cmd_check(seed: int = 0, out=None) -> int:
-    """Numeric self-checks; prints one PASS/FAIL line per check to `out` (stdout)."""
+def cmd_check(seed: int = 0) -> int:
+    """Numeric self-checks; prints one PASS/FAIL line per check."""
     failures = 0
 
     def report(name: str, ok: bool, detail: str) -> None:
         nonlocal failures
         line = f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
-        print(line, file=out)
+        print(line)
         if not ok:
             failures += 1
 
@@ -381,6 +381,10 @@ def _train_and_hold_out(dataset: LabeledDataset, tcfg: TrainConfig, outdir: Path
 
 def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
     dataset = dataset_from(config, seed, "toy")
+    held_rows = dataset.heldout_idx.size
+    if held_rows < 2:
+        raise ValueError(f"the held-out split has {held_rows} row and separability needs 2: "
+                         f"raise [data] cluster_count or points_per_cluster")
     tcfg = _from_section(TrainConfig, config, "train", seed=seed, input_width=2)
     acfg = attack_config_from(config, tcfg.seed)
     plot_n = _get(config, "plot", "points_per_cluster", 200, int)
@@ -609,7 +613,7 @@ def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
     return 0
 
 
-def cmd_report(run_dir: Path, out=None) -> int:
+def cmd_report(run_dir: Path) -> int:
     paths = [p for p in (run_dir / n for n in ("history.csv", "report.csv", "sweep.csv"))
              if p.exists()]
     if not paths:
@@ -620,14 +624,14 @@ def cmd_report(run_dir: Path, out=None) -> int:
                 rows = [row for row in csv.reader(fh) if row]  # a blank line is no row
         except UnicodeDecodeError as exc:
             raise CliError(f"{path} is not an ASCII run file", 1) from exc
-        print(f"== {path.name} ({len(rows[1:])} rows)", file=out)
+        print(f"== {path.name} ({len(rows[1:])} rows)")
         if path.name == "history.csv" and len(rows) > 1:
             header, first, last = rows[0], rows[1], rows[-1]
             for col, a, b in zip(header[1:], first[1:], last[1:]):
-                print(f"  {col}: first {a or '-'} last {b or '-'}", file=out)
+                print(f"  {col}: first {a or '-'} last {b or '-'}")
         else:
             for row in rows[1:]:
-                print("  " + ", ".join(row), file=out)
+                print("  " + ", ".join(row))
     return 0
 
 

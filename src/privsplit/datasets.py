@@ -26,7 +26,7 @@ class ClusterSpec:
 
     def __post_init__(self):
         if self.cluster_count < 2:
-            raise ValueError("need at least 2 clusters")
+            raise ValueError(f"need at least 2 clusters, got {self.cluster_count}")
         if self.cluster_std <= 0:
             raise ValueError("cluster std must be positive")
         if self.points_per_cluster < 1:
@@ -150,6 +150,10 @@ def make_tiny_image_dataset(source_dir=None, size: int = 32, class_count: int = 
     a class-correlated brightness offset. With one, each subdirectory is a
     class of same-sized pixmaps (at least 20 per class).
     """
+    if size < 1:
+        raise ValueError(f"image size must be at least 1, got {size}")
+    if source_dir is None and class_count < 2:
+        raise ValueError(f"need at least 2 classes, got {class_count}")
     rng = np.random.default_rng(seed)
     if source_dir is None:
         brightnesses = np.linspace(-0.45, 0.45, class_count)

@@ -25,7 +25,9 @@ def bce(p: Tensor, target: int) -> Tensor:
     """Binary cross entropy -[t*ln(p) + (1-t)*ln(1-p)], elementwise, in p's dtype.
 
     `p` must lie strictly inside (0, 1), as the discriminator's sigmoid
-    yields it (within [PROB_EPS, 1 - PROB_EPS]); it is not clamped again.
+    yields it (within [PROB_EPS, 1 - PROB_EPS]); it is neither clamped again
+    nor checked, so a `p` of exactly 0 (target 1) or 1 (target 0) gives an
+    infinite loss.
     """
     if target not in (0, 1):
         raise ValueError(f"bce target must be 0 or 1, got {target!r}")

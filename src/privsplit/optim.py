@@ -24,12 +24,15 @@ class Adam:
     buffer, and the moments are one flat ``m`` and ``v``. The optimizer owns
     the gradients too: each tensor's ``grad_buffer`` becomes a view into one
     flat gradient buffer, which :func:`~privsplit.autodiff.backward` fills in
-    place, so after a backward pass each ``grad`` *is* a view of that buffer
-    and a step reads it without a copy. Only a ``grad`` set some other way
-    is gathered into the buffer first (None counts as zero). The trained
-    tensors hold views of that buffer, so it lives as long as they do; hand
-    trained weights on in fresh tensors (``models.frozen``) and the buffer
-    dies with the optimizer and the tensors it trained.
+    place, so after a backward pass each ``grad`` *is* a view of that buffer.
+    A step reads that buffer and nothing else, so a ``grad`` set by hand is
+    not seen. A tensor that no backward pass has reached reads zeros there,
+    and one that a pass reached keeps that gradient until a later pass
+    reaches it again, so each pass must reach every trained tensor (every
+    training loop's loss does). The trained tensors hold views of that
+    buffer, so it lives as long as they do; hand trained weights on in fresh
+    tensors (``models.frozen``) and the buffer dies with the optimizer and
+    the tensors it trained.
 
     A step then walks the buffer in blocks of ``_BLOCK`` elements. On each
     block it runs the bias-corrected Adam update (Kingma & Ba, arXiv
@@ -54,29 +57,26 @@ class Adam:
             raise ValueError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
         bounds = np.cumsum([0] + [p.data.size for p in self.params])
-        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         self._flat = np.empty(bounds[-1], dtype=dtype)
-        for p, part in zip(self.params, self._slices):
+        for p, part in zip(self.params, slices):
             self._flat[part] = p.data.reshape(-1)
             p.data = self._flat[part].reshape(p.data.shape)
         self.m = np.zeros_like(self._flat)
         self.v = np.zeros_like(self._flat)
         self._grad = np.zeros_like(self._flat)
-        for p, part in zip(self.params, self._slices):
+        for p, part in zip(self.params, slices):
             p.grad_buffer = self._grad[part].reshape(p.data.shape)
         self._tmp = np.empty(min(_BLOCK, self._flat.size), dtype=dtype)
         self._vhat = np.empty_like(self._tmp)
 
     def step(self) -> None:
-        g = self._grad
-        for p, part in zip(self.params, self._slices):
-            if p.grad is not p.grad_buffer:
-                g[part] = 0.0 if p.grad is None else p.grad.reshape(-1)
         self.step_count += 1
         t = self.step_count
         for start in range(0, self._flat.size, _BLOCK):
             block = slice(start, start + _BLOCK)
-            self._update_block(self._flat[block], g[block], self.m[block], self.v[block], t)
+            self._update_block(self._flat[block], self._grad[block], self.m[block],
+                               self.v[block], t)
 
     def _update_block(self, params: np.ndarray, g: np.ndarray, m: np.ndarray,
                       v: np.ndarray, t: int) -> None:

@@ -512,9 +512,19 @@ TINY_ATTACK = "[data]\nkind = tiny\nper_class = 20\n\n[attack]\niterations = 5\n
      "error: noise_std must be finite and non-negative, got nan"),
     ("attack", TINY_ATTACK + "methods = pixelate\n\n[train]\nnoise_std = inf\n",
      "error: noise_std must be finite and non-negative, got inf"),
+    ("train-image", "[data]\nclass_count = 0\n", "error: need at least 2 classes, got 0"),
+    ("train-image", "[data]\nclass_count = -1\n", "error: need at least 2 classes, got -1"),
+    ("train-image", "[data]\nsize = -3\n", "error: image size must be at least 1, got -3"),
+    ("attack", "[data]\nkind = tiny\nclass_count = 1\n\n[attack]\nmethods = pixelate\n",
+     "error: need at least 2 classes, got 1"),
+    ("train-toy", "[data]\npoints_per_cluster = 1\n",
+     "error: the held-out split has 1 row and separability needs 2: "
+     "raise [data] cluster_count or points_per_cluster"),
 ], ids=["attack-batch-size", "sweep-attack-iterations", "attack-alpha", "noise-std",
         "attack-seed", "pixelate-factor", "blur-radius", "plot-points", "sweep-no-proportions",
-        "attack-noise-std-negative", "attack-noise-std-nan", "attack-noise-std-inf"])
+        "attack-noise-std-negative", "attack-noise-std-nan", "attack-noise-std-inf",
+        "image-no-classes", "image-negative-classes", "image-negative-size", "attack-one-class",
+        "toy-one-held-out-row"])
 def test_invalid_run_config_exits_1_before_writing_anything(tmp_path, capsys, command, text,
                                                             message):
     assert run_with_config(tmp_path, text, command) == 1

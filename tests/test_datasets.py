@@ -30,6 +30,10 @@ class TestClusterSpec:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             ClusterSpec(seed=-1)
 
+    def test_one_cluster_names_the_count(self):
+        with pytest.raises(ValueError, match="^need at least 2 clusters, got 1$"):
+            ClusterSpec(cluster_count=1)
+
 
 class TestGenToyClusters:
     def test_default_counts_and_classes(self):
@@ -128,6 +132,17 @@ class TestTinyImages:
     def test_too_few_per_class_rejected(self):
         with pytest.raises(ValueError, match="20"):
             make_tiny_image_dataset(class_count=3, per_class=10, seed=4)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"class_count": 1}, "need at least 2 classes, got 1"),
+        ({"class_count": 0}, "need at least 2 classes, got 0"),
+        ({"class_count": -1}, "need at least 2 classes, got -1"),
+        ({"size": 0}, "image size must be at least 1, got 0"),
+        ({"size": -3, "source_dir": "."}, "image size must be at least 1, got -3"),
+    ])
+    def test_bad_size_or_class_count_names_the_value(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_tiny_image_dataset(**kwargs)
 
     def test_directory_source(self, tmp_path):
         base = make_tiny_image_dataset(class_count=2, per_class=20, seed=5, size=16)

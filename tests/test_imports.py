@@ -1,4 +1,5 @@
-"""Every name a ``privsplit`` module imports is used in that module."""
+"""Every name a ``privsplit`` module imports is used in that module, and every
+name a module defines is read by the package or the benchmark, not only by a test."""
 
 import ast
 from pathlib import Path
@@ -28,3 +29,61 @@ def test_every_imported_name_is_used(module):
 
 def test_the_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nprint(b)\n") == ["os", "d"]
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def unread_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` for each top-level def, class or assignment in `modules`
+    (module name -> source) that no code reads outside its own binding.
+
+    A read is a loaded ``Name`` or an attribute of that name in another
+    top-level statement of `modules`, or anywhere in `readers`. Dunder names
+    are protocol names and are not checked.
+    """
+    bound = []  # (module, name, the statement that binds it)
+    reads = []  # (statement or None for a reader, names it reads)
+    for module, source in modules.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            bound += [(module, name, stmt) for name in names if not name.startswith("__")]
+            reads.append((stmt, _read_names(stmt)))
+    for source in readers:
+        reads.append((None, _read_names(ast.parse(source))))
+    return [f"{module}.{name}" for module, name, stmt in bound
+            if not any(name in names for owner, names in reads if owner is not stmt)]
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    nodes = list(ast.walk(tree))
+    return ({n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
+def perfbench_sources() -> list[str]:
+    return [p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py"))
+            if not p.name.startswith("test_")]
+
+
+def test_every_top_level_name_has_a_caller_outside_the_tests():
+    assert unread_names(package_sources(), perfbench_sources()) == []
+
+
+def test_the_scan_finds_a_helper_that_only_a_test_calls():
+    modules = {"core": "from .helper import LIMIT\n\ndef run():\n    return LIMIT\n",
+               "helper": "def only_tested():\n    return only_tested\n\nLIMIT = 3\n"}
+    bench = "from privsplit import core\ncore.run()\n"
+    test = "from privsplit.helper import only_tested\nassert only_tested() is only_tested\n"
+    assert unread_names(modules, [bench]) == ["helper.only_tested"]
+    assert unread_names(modules, [bench, test]) == []
