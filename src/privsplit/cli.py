@@ -10,13 +10,15 @@ timestamp appears) next to its outputs.
 The keys of ``[data]``, ``[train]`` and ``[attack]`` are the field names of
 :class:`~privsplit.datasets.ClusterSpec`, :class:`~privsplit.training.TrainConfig`
 and :class:`~privsplit.evaluation.AttackConfig`, whose defaults are the only
-ones; ``lam`` is spelled ``lambda``, and ``TrainConfig.input_width`` comes
-from the data. The seeds default to the run seed (the attack's to run seed
-+ 1). The run seed is ``--seed``, else ``[train] seed``, else ``[data]
-seed``, else ``$PRIVSPLIT_SEED``, else 0; ``--seed`` replaces both file
-seeds, while an explicit ``[attack] seed`` still sets the attack's. The
-keys that are not fields are ``[data]`` ``kind``, ``source_dir``,
-``size``, ``class_count`` and ``per_class``; ``[attack]`` ``methods``,
+ones but two: ``TrainConfig.input_width`` comes from the data, and
+``use_perceptual`` defaults on for ``tiny`` data and off for ``toy`` data;
+``lam`` is spelled ``lambda``. The seeds default to the run seed (the
+attack's to run seed + 1). The run seed is ``--seed``, else ``[train]
+seed``, else ``[data] seed``, else 0, so the train seed is the run seed;
+no environment variable sets it. ``--seed`` replaces both file seeds,
+while an explicit ``[attack] seed`` still sets the attack's. The keys that
+are not fields are ``[data]`` ``kind``, ``source_dir``, ``size``,
+``class_count`` and ``per_class``; ``[attack]`` ``methods``,
 ``model_checkpoint``, ``msednet_checkpoint``, ``pixelate_factor``,
 ``blur_radius`` and ``p3_threshold``; ``[sweep]`` ``proportions``; and
 ``[plot]`` ``points_per_cluster``. ``[data] kind`` is ``toy`` (the default,
@@ -39,7 +41,6 @@ import argparse
 import configparser
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -97,7 +98,6 @@ from .training import (
     write_history_csv,
 )
 
-SEED_ENV = "PRIVSPLIT_SEED"
 # the image baselines' defaults, for `attack` and `obfuscate` alike
 PIXELATE_FACTOR, BLUR_RADIUS, P3_THRESHOLD = 20, 16, 1
 
@@ -196,7 +196,7 @@ _RUN_SEED_SECTIONS = ("train", "data")
 
 
 def resolve_seed(flag_seed, config: dict) -> int:
-    """The run seed: --seed, else the file's, else $PRIVSPLIT_SEED, else 0.
+    """The run seed: --seed, else the file's ([train] before [data]), else 0.
 
     Every seed key of the file is checked first, whichever source wins.
     """
@@ -205,16 +205,7 @@ def resolve_seed(flag_seed, config: dict) -> int:
         if flag_seed < 0:
             raise usage_error(f"--seed must be non-negative, got {flag_seed}")
         return flag_seed
-    for value in file_seeds:
-        if value is not None:
-            return value
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return _seed(env)
-        except ValueError as exc:
-            raise usage_error(f"{SEED_ENV} must be a non-negative integer, got {env!r}") from exc
-    return 0
+    return next((value for value in file_seeds if value is not None), 0)
 
 
 _CONVERTERS = {"int": int, "float": float, "bool": _bool, "str": str, "Fraction": Fraction}
@@ -233,6 +224,12 @@ def _from_section(cls, config: dict, section: str, **defaults):
         if key in config.get(section, {}):
             defaults[f.name] = _get(config, section, key, None, _CONVERTERS[f.type])
     return cls(**defaults)
+
+
+def train_config_from(config: dict, seed: int, dataset: LabeledDataset) -> TrainConfig:
+    """`[train]` for `dataset`: its width, and the perceptual term on by default for images."""
+    return _from_section(TrainConfig, config, "train", seed=seed, input_width=dataset.width,
+                         use_perceptual=dataset.meta.get("kind") == "tiny-images")
 
 
 def attack_config_from(config: dict, seed: int) -> AttackConfig:
@@ -364,18 +361,18 @@ def _toy_snapshot_indices(dataset: LabeledDataset, per_cluster: int,
     return np.sort(np.concatenate(picks))
 
 
-def _train_and_hold_out(dataset: LabeledDataset, tcfg: TrainConfig, outdir: Path,
+def _train_and_hold_out(dataset: LabeledDataset, tcfg: TrainConfig, seed: int, outdir: Path,
                         **snapshots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Train on the train split and save ``checkpoint.npz`` and ``history.csv``.
 
     Returns the held-out rows, their reconstruction and their encryption,
-    whose noise seed is the train seed + 7919. `snapshots` go to ``train``.
+    whose noise seed is the run seed + 7919. `snapshots` go to ``train``.
     """
     bundle, history = train(dataset.features[dataset.train_idx], tcfg, **snapshots)
     save_checkpoint(bundle, history, outdir / "checkpoint.npz")
     write_history_csv(history, outdir / "history.csv")
     held = Tensor(dataset.features[dataset.heldout_idx])
-    noise = NoiseSpec(std=tcfg.noise_std, seed=tcfg.seed + 7919)
+    noise = NoiseSpec(std=tcfg.noise_std, seed=seed + 7919)
     return held.data, reconstruct(held, bundle).data, encrypt(held, bundle, noise).data
 
 
@@ -385,17 +382,17 @@ def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
     if held_rows < 2:
         raise ValueError(f"the held-out split has {held_rows} row and separability needs 2: "
                          f"raise [data] cluster_count or points_per_cluster")
-    tcfg = _from_section(TrainConfig, config, "train", seed=seed, input_width=2)
-    acfg = attack_config_from(config, tcfg.seed)
+    tcfg = train_config_from(config, seed, dataset)
+    acfg = attack_config_from(config, seed)
     plot_n = _get(config, "plot", "points_per_cluster", 200, int)
     if plot_n < 0:
         raise ValueError(f"plot.points_per_cluster must be non-negative, got {plot_n}")
-    write_run_files(outdir, "train-toy", config, tcfg.seed)
+    write_run_files(outdir, "train-toy", config, seed)
 
-    idx = _toy_snapshot_indices(dataset, plot_n, tcfg.seed)
+    idx = _toy_snapshot_indices(dataset, plot_n, seed)
     plot_x = Tensor(dataset.features[idx])
     plot_labels = dataset.labels[idx]
-    panel_noise = NoiseSpec(std=tcfg.noise_std, seed=tcfg.seed + 104729)
+    panel_noise = NoiseSpec(std=tcfg.noise_std, seed=seed + 104729)
 
     snapshots_enc: dict[int, np.ndarray] = {}
     snapshots_rec: dict[int, np.ndarray] = {}
@@ -405,7 +402,7 @@ def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
         snapshots_enc[iteration] = encrypt(plot_x, bundle, panel_noise).data
 
     marks = {0, 100, 500, tcfg.iterations}
-    held, recon, encrypted = _train_and_hold_out(dataset, tcfg, outdir,
+    held, recon, encrypted = _train_and_hold_out(dataset, tcfg, seed, outdir,
                                                  snapshot_iters=marks, snapshot_fn=snap)
     scatter_report(plot_x.data, plot_labels, snapshots_enc, snapshots_rec,
                    csv_path=outdir / "scatter.csv", svg_path=outdir / "scatter.svg")
@@ -419,10 +416,9 @@ def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
 
 def cmd_train_image(config: dict, outdir: Path, seed: int) -> int:
     dataset = dataset_from(config, seed, "tiny")
-    tcfg = _from_section(TrainConfig, config, "train", seed=seed, input_width=dataset.width,
-                         use_perceptual=True)
-    write_run_files(outdir, "train-image", config, tcfg.seed)
-    held, recon, encrypted = _train_and_hold_out(dataset, tcfg, outdir)
+    tcfg = train_config_from(config, seed, dataset)
+    write_run_files(outdir, "train-image", config, seed)
+    held, recon, encrypted = _train_and_hold_out(dataset, tcfg, seed, outdir)
     peak = float(dataset.features.max() - dataset.features.min())
     recon_db = psnr(recon, held, peak)
     enc_db = psnr(encrypted, held, peak)
@@ -445,7 +441,15 @@ def _load_model(checkpoint, width: int) -> ModelBundle:
     return bundle
 
 
+def _image_like(img: Image, features: np.ndarray) -> Image:
+    """The one-row `features` as an image of `img`'s shape."""
+    return Image(img.width, img.height, img.channels,
+                 features_to_pixels(features).reshape(img.pixels.shape))
+
+
 def cmd_obfuscate(args, seed: int) -> int:
+    if args.method == "model" and not args.checkpoint:
+        raise usage_error("--checkpoint is required for method=model")
     img = load_pixmap(args.input)
     if args.method == "pixelate":
         out = pixelate(img, args.factor)
@@ -459,23 +463,14 @@ def cmd_obfuscate(args, seed: int) -> int:
         with open(secret_path, "wb") as fh:
             fh.write(blob)
         print(f"secret part -> {secret_path}")
-    elif args.method == "model":
-        if not args.checkpoint:
-            raise usage_error("--checkpoint is required for method=model")
+    else:  # model, the last of the choices argparse allows
         bundle = _load_model(args.checkpoint, img.pixels.size)
-        features = pixels_to_features(img.pixels).reshape(1, -1)
+        features = Tensor(pixels_to_features(img.pixels).reshape(1, -1))
         noise = NoiseSpec(std=args.noise_std, seed=seed)
-        encrypted = encrypt(Tensor(features), bundle, noise).data
-        out = Image(img.width, img.height, img.channels,
-                    features_to_pixels(encrypted).reshape(img.pixels.shape))
+        out = _image_like(img, encrypt(features, bundle, noise).data)
         if args.recon_out:
-            recon = reconstruct(Tensor(features), bundle).data
-            recon_img = Image(img.width, img.height, img.channels,
-                              features_to_pixels(recon).reshape(img.pixels.shape))
-            save_pixmap(recon_img, args.recon_out)
+            save_pixmap(_image_like(img, reconstruct(features, bundle).data), args.recon_out)
             print(f"reconstruction -> {args.recon_out}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise usage_error(f"unknown method {args.method}")
     save_pixmap(out, args.output)
     print(f"encrypted image -> {args.output}")
     return 0
@@ -561,17 +556,15 @@ def build_methods(config: dict, dataset: LabeledDataset, noise_std: float) -> li
     return methods
 
 
-def _mean_secret_proportion(dataset: LabeledDataset, threshold: int,
-                            sample_count: int = 10) -> float:
-    images = dataset.images[:sample_count] if dataset.images else []
-    if not images:
-        return math.nan
-    return float(np.mean([secret_proportion(p3_encode(img, threshold)) for img in images]))
+def _mean_secret_proportion(dataset: LabeledDataset, threshold: int) -> float:
+    """P3's secret proportion, averaged over the first 10 images of `dataset`."""
+    return float(np.mean([secret_proportion(p3_encode(img, threshold))
+                          for img in dataset.images[:10]]))
 
 
 def cmd_attack(config: dict, outdir: Path, seed: int) -> int:
     dataset = dataset_from(config, seed)
-    tcfg = _from_section(TrainConfig, config, "train", seed=seed, input_width=dataset.width)
+    tcfg = train_config_from(config, seed, dataset)
     methods = build_methods(config, dataset, tcfg.noise_std)
     acfg = attack_config_from(config, seed)
     write_run_files(outdir, "attack", config, seed)
@@ -593,8 +586,7 @@ def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
                        _fractions("1/64,1/32,1/16,1/8,1/4,1/2"), _fractions)
     if not proportions:
         raise ValueError("sweep.proportions names no proportion")
-    base = _from_section(TrainConfig, config, "train", seed=seed, input_width=dataset.width,
-                         use_perceptual=dataset.meta.get("kind") == "tiny-images")
+    base = train_config_from(config, seed, dataset)
     # every proportion is checked before the first run trains or writes a file
     sweep = [replace(base, privacy_proportion=p) for p in proportions]
     acfg = attack_config_from(config, seed)
@@ -604,7 +596,7 @@ def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
         proportion = tcfg.privacy_proportion
         bundle, _ = train(dataset.features[dataset.train_idx], tcfg)
         method = _model_method(f"Ours({proportion})", bundle, tcfg.noise_std)
-        r = attack_method(dataset, method, acfg, np.random.default_rng(tcfg.seed + 31337))
+        r = attack_method(dataset, method, acfg, np.random.default_rng(seed + 31337))
         reports.append(r)
         print(f"proportion {proportion}: recon {r.psnr_recon_db:.2f} dB, "
               f"encrypted {r.psnr_encrypted_db:.2f} dB, attack {r.accuracy:.4f}")
@@ -644,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="privsplit",
         description="Learned public/privacy feature splitting, baselines, and attacks")
     parser.add_argument("--seed", type=int, default=None,
-                        help=f"global seed (fallback: ${SEED_ENV}, then 0)")
+                        help="run seed (fallback: [train] seed, then [data] seed, then 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("check", help="run the numeric self-checks")

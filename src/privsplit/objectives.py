@@ -50,16 +50,15 @@ def reconstruction_loss(x_r: Tensor, x: Tensor, phi: Callable[[Tensor], Tensor] 
                         lam: float) -> tuple[Tensor, Tensor, Tensor]:
     """(pixel MSE, feature-space MSE, MSE + lam * feature MSE).
 
-    `phi` is a frozen feature network; pass None to drop the feature term.
+    `phi` is a frozen feature network; pass None to drop the feature term,
+    which then reads 0 and the combined loss is the pixel MSE itself.
     `lam` is ``TrainConfig.lam``.
     """
     recon_mse = mse(x_r, x)
     if phi is None:
-        perceptual = Tensor(0.0)
-    else:
-        perceptual = mse(phi(x_r), phi(x))
-    combined = recon_mse + (perceptual * Tensor(lam))
-    return recon_mse, perceptual, combined
+        return recon_mse, Tensor(0.0), recon_mse
+    perceptual = mse(phi(x_r), phi(x))
+    return recon_mse, perceptual, recon_mse + (perceptual * Tensor(lam))
 
 
 def msednet_loss(recon_combined: Tensor, x: Tensor, x_e: Tensor,

@@ -175,9 +175,10 @@ def serialize_secret(pkg: P3Package) -> bytes:
 def secret_proportion(pkg: P3Package) -> float:
     """Secret bytes over total coefficient-stream bytes.
 
-    The public stream is costed like the secret one: one record per nonzero
-    retained coefficient.
+    The secret stream is :func:`serialize_secret`'s, counted without building
+    it. The public stream is costed like it: one record per nonzero retained
+    coefficient.
     """
-    secret_bytes = len(serialize_secret(pkg))
+    secret_bytes = _HEADER.size + _RECORD.size * len(pkg.secret)
     public_bytes = _RECORD.size * int(np.count_nonzero(pkg.public_coefficients))
     return secret_bytes / (secret_bytes + public_bytes)

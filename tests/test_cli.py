@@ -276,17 +276,10 @@ def test_bad_seed_in_config_exits_2(tmp_path, capsys, section, value, also):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("flag, env, message", [
-    (["--seed", "-1"], None, "error: --seed must be non-negative, got -1"),
-    ([], "-1", f"error: {cli.SEED_ENV} must be a non-negative integer, got '-1'"),
-    ([], "abc", f"error: {cli.SEED_ENV} must be a non-negative integer, got 'abc'"),
-], ids=["flag", "env", "env-not-an-integer"])
-def test_negative_run_seed_exits_2_naming_its_source(tmp_path, monkeypatch, capsys, flag, env,
-                                                     message):
-    if env is None:
-        monkeypatch.delenv(cli.SEED_ENV, raising=False)
-    else:
-        monkeypatch.setenv(cli.SEED_ENV, env)
+@pytest.mark.parametrize("flag, message", [
+    (["--seed", "-1"], "error: --seed must be non-negative, got -1"),
+], ids=["flag"])
+def test_negative_run_seed_exits_2_naming_its_source(tmp_path, capsys, flag, message):
     assert cli.main([*flag, "train-toy", "--out", str(tmp_path / "run")]) == 2
     captured = capsys.readouterr()
     assert captured.err.strip() == message and captured.out == ""
@@ -305,6 +298,17 @@ def test_obfuscate_missing_input_exits_3(tmp_path, capsys):
     assert cli.main(["obfuscate", "--method", "blur", "--input", str(tmp_path / "absent.pgm"),
                      "--output", str(tmp_path / "out.pgm")]) == 3
     assert capsys.readouterr().err.startswith("i/o error: ")
+    assert not (tmp_path / "out.pgm").exists()
+
+
+@pytest.mark.parametrize("input_exists", [True, False], ids=["input", "no-input"])
+def test_obfuscate_model_without_checkpoint_exits_2_whether_or_not_the_input_exists(
+        tmp_path, capsys, input_exists):
+    if input_exists:
+        save_pixmap(Image.from_array(np.zeros((4, 5), dtype=np.uint8)), tmp_path / "in.pgm")
+    assert cli.main(["obfuscate", "--method", "model", "--input", str(tmp_path / "in.pgm"),
+                     "--output", str(tmp_path / "out.pgm")]) == 2
+    assert capsys.readouterr().err.strip() == "error: --checkpoint is required for method=model"
     assert not (tmp_path / "out.pgm").exists()
 
 
@@ -589,8 +593,10 @@ class CapturedTrain(Exception):
     pass
 
 
-def built_configs(tmp_path, monkeypatch, text, flags=("--seed", str(RUN_SEED))):
-    """The TrainConfig, ClusterSpec and AttackConfig `train-toy` builds from INI `text`."""
+def built_configs(tmp_path, monkeypatch, text, flags=("--seed", str(RUN_SEED)),
+                  command="train-toy"):
+    """The TrainConfig, and the toy ClusterSpec and AttackConfig if it builds them,
+    that `command` builds from INI `text` before it trains."""
     seen = {}
 
     def spec_only(spec):
@@ -612,7 +618,7 @@ def built_configs(tmp_path, monkeypatch, text, flags=("--seed", str(RUN_SEED))):
     path = tmp_path / "run.ini"
     path.write_text(text)
     with pytest.raises(CapturedTrain):
-        cli.main([*flags, "train-toy", "--config", str(path), "--out", str(tmp_path / "run")])
+        cli.main([*flags, command, "--config", str(path), "--out", str(tmp_path / "run")])
     return seen
 
 
@@ -662,11 +668,26 @@ BOTH_SEEDS = "[data]\nseed = 9\n\n[train]\nseed = 3\n"
 def test_run_seed_precedence(tmp_path, monkeypatch, flags, text, data, train, attack):
     # --seed, else [train] seed, else [data] seed; --seed replaces both file
     # seeds, and resolved.ini records the seeds the run used
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
     built = built_configs(tmp_path, monkeypatch, text, flags)
     assert (built["data"].seed, built["train"].seed, built["attack"].seed) == (data, train, attack)
     resolved = cli.load_config(tmp_path / "run" / "resolved.ini")
     assert (resolved["data"]["seed"], resolved["train"]["seed"]) == (str(data), str(train))
+
+
+TINY_DATA = "[data]\nkind = tiny\nper_class = 20\n"
+
+
+@pytest.mark.parametrize("command, data, default", [
+    ("train-toy", "", False),
+    ("train-image", TINY_DATA, True),
+    ("sweep-proportion", TINY_DATA, True),
+])
+@pytest.mark.parametrize("override", [False, True], ids=["default", "override"])
+def test_perceptual_term_is_on_for_images_unless_the_ini_says_otherwise(
+        tmp_path, monkeypatch, command, data, default, override):
+    text = data + (f"\n[train]\nuse_perceptual = {not default}\n" if override else "")
+    built = built_configs(tmp_path, monkeypatch, text, command=command)
+    assert built["train"].use_perceptual == (default != override)
 
 
 def test_ini_keys_are_the_field_names_plus_the_documented_extras():

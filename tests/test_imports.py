@@ -1,5 +1,6 @@
-"""Every name a ``privsplit`` module imports is used in that module, and every
-name a module defines is read by the package or the benchmark, not only by a test."""
+"""Every name a ``privsplit`` module imports is used in that module, every
+name a module defines is read by the package or the benchmark, not only by a
+test, and no module reads the environment."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,34 @@ def test_every_imported_name_is_used(module):
 
 def test_the_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nprint(b)\n") == ["os", "d"]
+
+
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """``os.<name>`` for each use or import of an ``os`` environment reader in the module.
+
+    A run setting read from the environment changes results without showing
+    on the command line, so every setting comes from a flag or the INI.
+    """
+    nodes = list(ast.walk(ast.parse(source)))
+    uses = [n.attr for n in nodes if isinstance(n, ast.Attribute) and n.attr in _ENV_NAMES
+            and isinstance(n.value, ast.Name) and n.value.id == "os"]
+    imports = [a.name for n in nodes if isinstance(n, ast.ImportFrom) and n.module == "os"
+               for a in n.names if a.name in _ENV_NAMES]
+    return sorted(f"os.{name}" for name in uses + imports)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_reads_the_environment(module):
+    assert environment_reads((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_an_environment_read():
+    source = ("import os\nfrom os import getenv as env\n"
+              "seed = os.environ.get('SEED')\nhome = os.getenv('HOME')\nos.open(os.devnull, 0)\n")
+    assert environment_reads(source) == ["os.environ", "os.getenv", "os.getenv"]
 
 
 PERFBENCH = SRC.parents[1] / "perfbench"

@@ -121,8 +121,8 @@ class TestReconstructionLoss:
     def test_none_phi_gives_zero_feature_term(self):
         x = Tensor(np.zeros((2, 2)))
         y = Tensor(np.ones((2, 2)))
-        _, perc, _ = reconstruction_loss(y, x, phi=None, lam=0.5)
-        assert perc.item() == 0.0
+        mse, perc, combined = reconstruction_loss(y, x, phi=None, lam=0.5)
+        assert perc.item() == 0.0 and combined is mse
 
 
 def msednet(x, x_r, x_e, phi, lam=0.01):

@@ -164,6 +164,14 @@ class TestSecretWireFormat:
 
 
 class TestSecretProportion:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("threshold", [1, 5, 20, MAX_THRESHOLD])
+    def test_counts_the_serialized_secret_stream(self, channels, threshold):
+        pkg = p3_encode(smooth_image(seed=15, size=24, channels=channels), threshold)
+        secret_bytes = len(serialize_secret(pkg))
+        public_bytes = _RECORD.size * int(np.count_nonzero(pkg.public_coefficients))
+        assert secret_proportion(pkg) == secret_bytes / (secret_bytes + public_bytes)
+
     def test_constant_image_is_all_secret(self):
         img = Image.from_array(np.full((16, 16), 200, dtype=np.uint8))
         assert secret_proportion(p3_encode(img, 1)) == 1.0
