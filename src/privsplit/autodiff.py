@@ -6,6 +6,9 @@ walking the operation graph in reverse topological order. Everything is
 value-semantic and single-threaded; determinism comes from numpy's fixed
 reduction order.
 
+A layer is one graph node (:func:`dense`), and so is each loss: :func:`mse`,
+:func:`bce` and :func:`softmax_cross_entropy`.
+
 An op's output keeps a closure that :func:`backward` calls with the output's
 gradient as its argument. The closure refers to the op's inputs but never to
 its own output, so a graph holds no reference cycle: once the last name bound
@@ -66,8 +69,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# Sigmoid clamps its output into [PROB_EPS, 1 - PROB_EPS], so the log in the
-# cross-entropy losses downstream never sees 0 or 1: it is the one clamp.
+# Sigmoid clamps its output into [PROB_EPS, 1 - PROB_EPS], so the log in
+# `bce` downstream never sees 0: it is the one clamp.
 PROB_EPS = 1e-7
 
 _FLOAT32 = np.dtype(np.float32)
@@ -125,9 +128,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -281,14 +281,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _op(out_data, (a, b), backprop)
 
 
-def neg(a: Tensor) -> Tensor:
-    def backprop(out_grad):
-        if a.requires_grad:
-            _accumulate(a, -out_grad, owned=True)
-
-    return _op(-a.data, (a,), backprop)
-
-
 # Each activation is (forward(x, out=None), grad(y, out_grad)); the gradient
 # is written in terms of the output y, so the input need not be kept. tanh
 # runs between layers and sigmoid ends the discriminator.
@@ -385,17 +377,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
     return _op(y, (x, w, b), backprop)
 
 
-def log(a: Tensor) -> Tensor:
-    """Natural log, unchecked: its inputs are sigmoid outputs and one minus
-    them, which the one clamp keeps strictly positive."""
-
-    def backprop(out_grad):
-        if a.requires_grad:
-            _accumulate(a, out_grad / a.data, owned=True)
-
-    return _op(np.log(a.data), (a,), backprop)
-
-
 def tsum(a: Tensor) -> Tensor:
     def backprop(out_grad):
         if a.requires_grad:
@@ -440,6 +421,26 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, -d, owned=True)
 
     return _op(np.asarray(sq.mean()), (a, b), backprop)
+
+
+def bce(p: Tensor, target: int) -> Tensor:
+    """Binary cross entropy -[t*ln(p) + (1-t)*ln(1-p)], elementwise, as one graph node.
+
+    `p` must lie strictly inside (0, 1), where sigmoid's one clamp keeps it;
+    it is neither clamped again nor checked. With q = p (target 1) or 1 - p
+    (target 0) in p's dtype, the output is ``-ln q`` and `p` gets ``-(g / q)``
+    or ``g / q``: bitwise the chain of log, negation and ``1 - p`` ops, since
+    negation is exact and IEEE division is sign-symmetric.
+    """
+    if target not in (0, 1):
+        raise ValueError(f"bce target must be 0 or 1, got {target!r}")
+    q = p.data if target == 1 else _const(1.0, p.data) - p.data
+
+    def backprop(out_grad):
+        if p.requires_grad:
+            _accumulate(p, -(out_grad / q) if target == 1 else out_grad / q, owned=True)
+
+    return _op(-np.log(q), (p,), backprop)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:

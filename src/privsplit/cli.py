@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, backward, grad_check, sigmoid, tsum
+from .autodiff import Tensor, backward, bce, grad_check, sigmoid, tsum
 from .datasets import (
     ClusterSpec,
     LabeledDataset,
@@ -82,7 +82,6 @@ from .obfuscation import gaussian_blur, gaussian_blur_stack, pixelate, pixelate_
 from .objectives import (
     LOG4,
     DiscreteDistributionPair,
-    bce,
     collaborative_loss_at_optimum,
     jsd,
 )

@@ -27,8 +27,10 @@ class ClusterSpec:
     def __post_init__(self):
         if self.cluster_count < 2:
             raise ValueError(f"need at least 2 clusters, got {self.cluster_count}")
-        if self.cluster_std <= 0:
-            raise ValueError("cluster std must be positive")
+        for name in ("center_box", "cluster_std"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.points_per_cluster < 1:
             raise ValueError("need at least one point per cluster")
         if self.seed < 0:
@@ -86,17 +88,24 @@ def _split_indices(n: int, rng: np.random.Generator, heldout_fraction: float = 0
 def gen_toy_clusters(spec: ClusterSpec) -> LabeledDataset:
     """Seeded Gaussian blobs, normalized to zero mean and unit overall scale."""
     rng = np.random.default_rng(spec.seed)
-    centers = rng.uniform(-spec.center_box, spec.center_box, size=(spec.cluster_count, 2))
+    try:
+        centers = rng.uniform(-spec.center_box, spec.center_box, size=(spec.cluster_count, 2))
+    except OverflowError as exc:
+        raise ValueError(f"center_box {spec.center_box} is too large: {exc}") from exc
     if len({tuple(c) for c in centers.tolist()}) != spec.cluster_count:
         raise ValueError("sampled cluster centers collide; change the seed")
-    points = np.concatenate([
-        c + spec.cluster_std * rng.standard_normal((spec.points_per_cluster, 2))
-        for c in centers
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        points = np.concatenate([
+            c + spec.cluster_std * rng.standard_normal((spec.points_per_cluster, 2))
+            for c in centers
+        ])
+        mean = points.mean(axis=0)
+        centered = points - mean
+        scale = centered.std()
+    if not np.isfinite(scale):
+        raise ValueError(f"the toy points overflow float64 at center_box {spec.center_box} "
+                         f"and cluster_std {spec.cluster_std}")
     labels = np.repeat(np.arange(spec.cluster_count), spec.points_per_cluster)
-    mean = points.mean(axis=0)
-    centered = points - mean
-    scale = centered.std()
     features = centered / scale
     train_idx, heldout_idx = _split_indices(features.shape[0], rng)
     return LabeledDataset(

@@ -16,22 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, log, mse, tmean
+from .autodiff import Tensor, bce, mse, tmean
 
 LOG4 = math.log(4.0)
-
-
-def bce(p: Tensor, target: int) -> Tensor:
-    """Binary cross entropy -[t*ln(p) + (1-t)*ln(1-p)], elementwise, in p's dtype.
-
-    `p` must lie strictly inside (0, 1), as the discriminator's sigmoid
-    yields it (within [PROB_EPS, 1 - PROB_EPS]); it is neither clamped again
-    nor checked, so a `p` of exactly 0 (target 1) or 1 (target 0) gives an
-    infinite loss.
-    """
-    if target not in (0, 1):
-        raise ValueError(f"bce target must be 0 or 1, got {target!r}")
-    return -log(p) if target == 1 else -log(Tensor(np.ones((), p.data.dtype)) - p)
 
 
 def generator_adversarial_loss(d_on_recon: Tensor, d_on_encrypted: Tensor) -> Tensor:

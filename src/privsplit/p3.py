@@ -49,7 +49,8 @@ QUANT_TABLE = np.array([
 SECRET_MAGIC = b"P3SC"
 SECRET_VERSION = 1
 _HEADER = struct.Struct("<4sBIIBH")
-_RECORD = struct.Struct("<IBh")
+# one secret record, packed: block id u32, coefficient id u8, value i16
+_RECORD = np.dtype([("block", "<u4"), ("coefficient", "u1"), ("value", "<i2")])
 # the secret header stores the threshold as u16
 MAX_THRESHOLD = 0xFFFF
 
@@ -72,7 +73,7 @@ class P3Package:
 
     public_image: Image
     public_coefficients: np.ndarray  # int32 (channels, block_rows, block_cols, 8, 8)
-    secret: list[tuple[int, int, int]]  # (block id, coefficient id, value)
+    secret: np.ndarray  # _RECORD records (block id, coefficient id, value)
     threshold: int
     width: int
     height: int
@@ -145,8 +146,12 @@ def p3_encode(img: Image, threshold: int) -> P3Package:
     keep = _public_mask(coeffs, threshold)
     public = np.where(keep, coeffs, 0)
     flat = coeffs.reshape(-1, 64)
-    secret_ids = np.nonzero(~keep.reshape(flat.shape))
-    secret = [(int(b), int(c), int(flat[b, c])) for b, c in zip(*secret_ids)]
+    blocks, coefficients = np.nonzero(~keep.reshape(flat.shape))
+    values = flat[blocks, coefficients]
+    secret = np.empty(blocks.size, dtype=_RECORD)
+    secret["block"], secret["coefficient"], secret["value"] = blocks, coefficients, values
+    if not np.array_equal(secret["value"], values):  # the i16 field wrapped
+        raise ValueError("a secret coefficient does not fit the stream's i16 value")
     return P3Package(
         public_image=Image.from_array(
             _dequantize_to_image(public, 1, img.height, img.width)[0]),
@@ -165,11 +170,8 @@ def serialize_secret(pkg: P3Package) -> bytes:
     Header: magic "P3SC", version u8, width u32, height u32, channels u8,
     threshold u16. Records: block id u32, coefficient id u8, value i16.
     """
-    out = [_HEADER.pack(SECRET_MAGIC, SECRET_VERSION, pkg.width, pkg.height,
-                        pkg.channels, pkg.threshold)]
-    for block_id, coef_id, value in pkg.secret:
-        out.append(_RECORD.pack(block_id, coef_id, value))
-    return b"".join(out)
+    return _HEADER.pack(SECRET_MAGIC, SECRET_VERSION, pkg.width, pkg.height,
+                        pkg.channels, pkg.threshold) + pkg.secret.tobytes()
 
 
 def secret_proportion(pkg: P3Package) -> float:
@@ -179,6 +181,6 @@ def secret_proportion(pkg: P3Package) -> float:
     it. The public stream is costed like it: one record per nonzero retained
     coefficient.
     """
-    secret_bytes = _HEADER.size + _RECORD.size * len(pkg.secret)
-    public_bytes = _RECORD.size * int(np.count_nonzero(pkg.public_coefficients))
+    secret_bytes = _HEADER.size + _RECORD.itemsize * len(pkg.secret)
+    public_bytes = _RECORD.itemsize * int(np.count_nonzero(pkg.public_coefficients))
     return secret_bytes / (secret_bytes + public_bytes)

@@ -106,8 +106,8 @@ class TrainConfig:
             raise ValueError("iterations must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):

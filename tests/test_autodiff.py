@@ -12,13 +12,12 @@ from privsplit.autodiff import (
     _op,
     add,
     backward,
+    bce,
     concat,
     dense,
     grad_check,
-    log,
     mse,
     mul,
-    neg,
     sigmoid,
     slice_cols,
     softmax_cross_entropy,
@@ -365,6 +364,27 @@ class TestMse:
             mse(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
+class TestBce:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_equals_the_numpy_formulas_bitwise(self, dtype, target):
+        rng = np.random.default_rng(23)
+        p0 = sigmoid(Tensor(rng.standard_normal((6, 5)).astype(dtype) * 4)).data
+        g = rng.standard_normal((6, 5)).astype(dtype)
+        p = Tensor(p0.copy(), requires_grad=True)
+        out = bce(p, target)
+        backward(tsum(out * Tensor(g)))
+        q = p0 if target == 1 else dtype(1.0) - p0
+        assert out.data.dtype == p.grad.dtype == dtype
+        assert np.array_equal(out.data, -np.log(q))
+        assert np.array_equal(p.grad, -(g / p0) if target == 1 else g / (dtype(1.0) - p0))
+
+    def test_is_one_graph_node(self):
+        p = Tensor(np.full((2, 3), 0.5), requires_grad=True)
+        for target in (0, 1):
+            assert len(Graph(bce(p, target))) == 2  # p and the output
+
+
 class TestGraph:
     def test_topological_order(self):
         x = Tensor([1.0], requires_grad=True)
@@ -495,6 +515,8 @@ class TestOpGradientsProperty:
             "tanh": tanh,
             "sigmoid": sigmoid,
             "self-mul": lambda t: t * t,
+            "bce-0∘sigmoid": lambda t: bce(sigmoid(t), 0),
+            "bce-1∘sigmoid": lambda t: bce(sigmoid(t), 1),
         }
         for trial in range(20):
             rows = int(rng.integers(1, 8))
@@ -553,14 +575,14 @@ DTYPE_CASES = {
     "add": lambda leaf: add(leaf(3, 4), leaf(4)),
     "sub": lambda leaf: sub(leaf(3, 4), leaf(4)),
     "mul": lambda leaf: mul(leaf(3, 4), leaf(3, 4)),
-    "neg": lambda leaf: neg(leaf(3, 4)),
     "matmul": lambda leaf: matmul(leaf(3, 4), leaf(4, 2)),
     "tanh": lambda leaf: tanh(leaf(3, 4)),
     "sigmoid": lambda leaf: sigmoid(leaf(3, 4)),
     "dense": lambda leaf: dense(leaf(3, 4), leaf(4, 2), leaf(2)),
     "dense-tanh": lambda leaf: dense(leaf(3, 4), leaf(4, 2), leaf(2), "tanh"),
     "dense-sigmoid": lambda leaf: dense(leaf(3, 4), leaf(4, 2), leaf(2), "sigmoid"),
-    "log": lambda leaf: log(sigmoid(leaf(3, 4))),
+    "bce-0": lambda leaf: bce(sigmoid(leaf(3, 4)), 0),
+    "bce-1": lambda leaf: bce(sigmoid(leaf(3, 4)), 1),
     "mse": lambda leaf: mse(leaf(3, 4), leaf(3, 4)),
     "tsum": lambda leaf: tsum(leaf(3, 4)),
     "tmean": lambda leaf: tmean(leaf(3, 4)),

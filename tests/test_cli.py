@@ -524,11 +524,26 @@ TINY_ATTACK = "[data]\nkind = tiny\nper_class = 20\n\n[attack]\niterations = 5\n
     ("train-toy", "[data]\npoints_per_cluster = 1\n",
      "error: the held-out split has 1 row and separability needs 2: "
      "raise [data] cluster_count or points_per_cluster"),
+    ("train-toy", "[train]\nlambda = nan\n", "error: lam must be finite and non-negative, got nan"),
+    ("train-toy", "[train]\nlambda = inf\n", "error: lam must be finite and non-negative, got inf"),
+    ("train-image", "[data]\nper_class = 20\n\n[train]\nlambda = nan\niterations = 2\n",
+     "error: lam must be finite and non-negative, got nan"),
+    ("train-toy", "[data]\ncenter_box = nan\n", "error: center_box must be finite and positive, got nan"),
+    ("train-toy", "[data]\ncenter_box = inf\n", "error: center_box must be finite and positive, got inf"),
+    ("train-toy", "[data]\ncenter_box = 1e308\n", "error: center_box 1e+308 is too large: "),
+    ("train-toy", "[data]\ncluster_std = nan\n",
+     "error: cluster_std must be finite and positive, got nan"),
+    ("train-toy", "[data]\ncluster_std = inf\n",
+     "error: cluster_std must be finite and positive, got inf"),
+    ("train-toy", "[data]\ncluster_std = 1e308\n",
+     "error: the toy points overflow float64 at center_box 4.0 and cluster_std 1e+308"),
 ], ids=["attack-batch-size", "sweep-attack-iterations", "attack-alpha", "noise-std",
         "attack-seed", "pixelate-factor", "blur-radius", "plot-points", "sweep-no-proportions",
         "attack-noise-std-negative", "attack-noise-std-nan", "attack-noise-std-inf",
         "image-no-classes", "image-negative-classes", "image-negative-size", "attack-one-class",
-        "toy-one-held-out-row"])
+        "toy-one-held-out-row", "toy-lambda-nan", "toy-lambda-inf", "image-lambda-nan",
+        "center-box-nan", "center-box-inf", "center-box-overflow", "cluster-std-nan",
+        "cluster-std-inf", "cluster-std-overflow"])
 def test_invalid_run_config_exits_1_before_writing_anything(tmp_path, capsys, command, text,
                                                             message):
     assert run_with_config(tmp_path, text, command) == 1

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from privsplit.autodiff import Tensor, backward, sigmoid
+from privsplit.autodiff import Tensor, backward, bce, sigmoid
 from privsplit.objectives import (
     LOG4,
     DiscreteDistributionPair,
-    bce,
     collaborative_loss_at_optimum,
     generator_adversarial_loss,
     jsd,

@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from privsplit.datasets import make_tiny_image_dataset
 from privsplit.image import Image, to_u8
+from privsplit import p3
 from privsplit.obfuscation import gaussian_blur
 from privsplit.p3 import (
     DCT8,
@@ -44,21 +46,25 @@ def p3_decode(pkg: P3Package) -> Image:
     shape = pkg.public_coefficients.shape
     assert shape[0] == pkg.channels and shape[3:] == (8, 8)
     flat = pkg.public_coefficients.reshape(-1, 64).copy()
-    for block_id, coef_id, value in pkg.secret:
-        flat[block_id, coef_id] = value
+    flat[pkg.secret["block"], pkg.secret["coefficient"]] = pkg.secret["value"]
     coeffs = flat.reshape(shape)
     return Image.from_array(_dequantize_to_image(coeffs, 1, pkg.height, pkg.width)[0])
 
 
-def deserialize_secret(blob: bytes) -> tuple[dict, list[tuple[int, int, int]]]:
+# the wire record, read with `struct` rather than with the encoder's record dtype
+WIRE_RECORD = struct.Struct("<IBh")
+
+
+def deserialize_secret(blob: bytes) -> tuple[dict, np.ndarray]:
     """(header fields, records) of a stream that `serialize_secret` wrote."""
     magic, version, width, height, channels, threshold = _HEADER.unpack_from(blob, 0)
     assert (magic, version) == (SECRET_MAGIC, SECRET_VERSION)
     body = blob[_HEADER.size:]
-    assert len(body) % _RECORD.size == 0
-    entries = [_RECORD.unpack_from(body, off) for off in range(0, len(body), _RECORD.size)]
+    assert len(body) % WIRE_RECORD.size == 0
+    entries = [WIRE_RECORD.unpack_from(body, off)
+               for off in range(0, len(body), WIRE_RECORD.size)]
     meta = {"width": width, "height": height, "channels": channels, "threshold": threshold}
-    return meta, [(int(b), int(c), int(v)) for b, c, v in entries]
+    return meta, np.array(entries, dtype=_RECORD)
 
 
 def smooth_image(seed=0, size=32, channels=1):
@@ -84,7 +90,7 @@ class TestEncode:
         img = Image.from_array(np.full((16, 16), 77, dtype=np.uint8))
         pkg = p3_encode(img, threshold=1)
         assert len(pkg.secret) == 4  # one DC per 8x8 block
-        assert all(coef_id == 0 for _, coef_id, _ in pkg.secret)
+        assert np.all(pkg.secret["coefficient"] == 0)
         assert np.all(pkg.public_image.pixels == 128)
 
     def test_partition_rule(self):
@@ -93,7 +99,7 @@ class TestEncode:
             pkg = p3_encode(img, threshold)
             full = _quantize_image(img.pixels[None]).reshape(-1, 64)
             public = pkg.public_coefficients.reshape(-1, 64)
-            secret_map = {(b, c): v for b, c, v in pkg.secret}
+            secret_map = {(b, c): v for b, c, v in pkg.secret.tolist()}
             for b in range(full.shape[0]):
                 assert (b, 0) in secret_map  # DC always secret
                 assert public[b, 0] == 0
@@ -110,7 +116,7 @@ class TestEncode:
         coeffs = _quantize_image(img.pixels[None])
         top = int(np.abs(coeffs.reshape(-1, 64)[:, 1:]).max())
         pkg = p3_encode(img, threshold=max(top, 1))
-        assert all(coef_id == 0 for _, coef_id, _ in pkg.secret)
+        assert np.all(pkg.secret["coefficient"] == 0)
 
     def test_threshold_below_one_rejected(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -145,7 +151,7 @@ class TestDecode:
 
     def test_withheld_secret_gives_public_image(self):
         pkg = p3_encode(smooth_image(seed=6), 1)
-        bare = replace(pkg, secret=[])
+        bare = replace(pkg, secret=pkg.secret[:0])
         assert np.array_equal(p3_decode(bare).pixels, pkg.public_image.pixels)
 
 
@@ -155,12 +161,21 @@ class TestSecretWireFormat:
         blob = serialize_secret(pkg)
         meta, entries = deserialize_secret(blob)
         assert meta == {"width": 32, "height": 32, "channels": 1, "threshold": 5}
-        assert entries == pkg.secret
+        assert entries.tolist() == pkg.secret.tolist()
 
     def test_record_size_is_seven_bytes(self):
         pkg = p3_encode(smooth_image(seed=10), 5)
         blob = serialize_secret(pkg)
+        assert pkg.secret.dtype == _RECORD and _RECORD.itemsize == 7
         assert (len(blob) - 16) == 7 * len(pkg.secret)
+
+    def test_a_value_beyond_i16_raises(self, monkeypatch):
+        # an 8-bit image quantizes to at most 1024 in magnitude, so widen its coefficients
+        quantize = p3._quantize_image
+        monkeypatch.setattr(p3, "_quantize_image", lambda pixels: quantize(pixels) * 1000)
+        img = Image.from_array(np.full((8, 8), 200, dtype=np.uint8))  # DC 36 -> 36000
+        with pytest.raises(ValueError, match="does not fit the stream's i16 value"):
+            p3_encode(img, 1)
 
 
 class TestSecretProportion:
@@ -169,7 +184,7 @@ class TestSecretProportion:
     def test_counts_the_serialized_secret_stream(self, channels, threshold):
         pkg = p3_encode(smooth_image(seed=15, size=24, channels=channels), threshold)
         secret_bytes = len(serialize_secret(pkg))
-        public_bytes = _RECORD.size * int(np.count_nonzero(pkg.public_coefficients))
+        public_bytes = 7 * int(np.count_nonzero(pkg.public_coefficients))
         assert secret_proportion(pkg) == secret_bytes / (secret_bytes + public_bytes)
 
     def test_constant_image_is_all_secret(self):

@@ -8,7 +8,7 @@ import tempfile
 import tracemalloc
 import weakref
 import zipfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privsplit import training
-from privsplit.autodiff import Tensor, grad_check
+from privsplit.autodiff import Graph, Tensor, backward, grad_check
 from privsplit.datasets import ClusterSpec, gen_toy_clusters, make_tiny_image_dataset
 from privsplit.evaluation import AttackConfig, attack_train_eval, separability
 from privsplit.models import (
@@ -405,6 +405,36 @@ class TestAblations:
         assert h1.l_g_total == h2.l_g_total
 
 
+def graph_nodes_per_step(monkeypatch, features, config) -> int:
+    """The graph size of one training step's loss, as a traced run counts it."""
+    sizes = []
+
+    def counting_backward(loss):
+        sizes.append(len(Graph(loss)))
+        backward(loss)
+
+    monkeypatch.setattr(training, "backward", counting_backward)
+    train(features, replace(config, iterations=1, batch_size=64))
+    return sizes[0]
+
+
+class TestGraphNodesPerStep:
+    """One node per layer and per loss: the shared BCE is two nodes, one per target."""
+
+    @pytest.mark.parametrize("ablation, nodes", [
+        ("full", 48), ("no_collaborative", 17), ("msednet", 31)])
+    def test_toy(self, monkeypatch, ablation, nodes):
+        config = quick_config(ablation=ablation)
+        assert graph_nodes_per_step(monkeypatch, small_blobs(), config) == nodes
+
+    @pytest.mark.parametrize("ablation, nodes", [
+        ("full", 59), ("no_collaborative", 28), ("msednet", 38)])
+    def test_image_with_the_perceptual_term(self, monkeypatch, ablation, nodes):
+        ds = make_tiny_image_dataset(size=8, class_count=2, per_class=40)
+        config = TrainConfig(input_width=ds.width, use_perceptual=True, ablation=ablation)
+        assert graph_nodes_per_step(monkeypatch, ds.features, config) == nodes
+
+
 @pytest.mark.parametrize("ablation", ["full", "no_collaborative", "msednet"])
 def test_objective_gradients_match_central_differences(ablation):
     # the bundle `privsplit check` uses, which checks `full` alone
@@ -472,11 +502,8 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError, match="batch"):
             TrainConfig(iterations=1, batch_size=0)
 
-    def test_bad_lambda(self):
-        with pytest.raises(ValueError, match="lam"):
-            TrainConfig(iterations=1, lam=-0.1)
-
     @pytest.mark.parametrize("name, value", [
+        ("lam", -0.1), ("lam", math.inf), ("lam", -math.inf), ("lam", math.nan),
         ("alpha", 0.0), ("alpha", -1e-3), ("alpha", math.inf), ("alpha", math.nan),
         ("noise_std", -1.0), ("noise_std", math.inf), ("noise_std", math.nan),
     ])
@@ -489,7 +516,7 @@ class TestTrainConfigValidation:
             TrainConfig(iterations=1, seed=-1)
 
     def test_edge_optimizer_and_noise_settings_are_accepted(self):
-        TrainConfig(iterations=1, alpha=5e-324, noise_std=0.0)
+        TrainConfig(iterations=1, alpha=5e-324, noise_std=0.0, lam=0.0)
 
     def test_proportion_must_divide_feature_width(self):
         with pytest.raises(ValueError, match="positive integer"):
