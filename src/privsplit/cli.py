@@ -19,14 +19,14 @@ no environment variable sets it. ``--seed`` replaces both file seeds,
 while an explicit ``[attack] seed`` still sets the attack's. The keys that
 are not fields are ``[data]`` ``kind``, ``source_dir``, ``size``,
 ``class_count`` and ``per_class``; ``[attack]`` ``methods``,
-``model_checkpoint``, ``msednet_checkpoint``, ``pixelate_factor``,
-``blur_radius`` and ``p3_threshold``; ``[sweep]`` ``proportions``; and
-``[plot]`` ``points_per_cluster``. ``[data] kind`` is ``toy`` (the default,
-and ``train-toy``'s) or ``tiny`` (``train-image``'s). Only ``toy`` reads
-``cluster_count``, ``points_per_cluster``, ``center_box`` and
-``cluster_std``; only ``tiny`` reads ``source_dir``, ``size``,
-``class_count`` and ``per_class``; a key or ``kind`` a run would ignore
-exits 2. A sweep trains each proportion for ``[train] iterations`` and
+``model_checkpoint``, ``msednet_checkpoint`` and the image baselines' keys,
+which :data:`BASELINES` holds with their defaults; ``[sweep]``
+``proportions``; and ``[plot]`` ``points_per_cluster``. ``[data] kind`` is
+``toy`` (the default, and ``train-toy``'s) or ``tiny`` (``train-image``'s).
+Only ``toy`` reads ``cluster_count``, ``points_per_cluster``,
+``center_box`` and ``cluster_std``; only ``tiny`` reads ``source_dir``,
+``size``, ``class_count`` and ``per_class``; a key or ``kind`` a run would
+ignore exits 2. A sweep trains each proportion for ``[train] iterations`` and
 attacks it as ``attack`` does, so ``sweep.csv`` has ``report.csv``'s
 columns and one ``Ours(<proportion>)`` row per proportion.
 
@@ -97,8 +97,15 @@ from .training import (
     write_history_csv,
 )
 
-# the image baselines' defaults, for `attack` and `obfuscate` alike
-PIXELATE_FACTOR, BLUR_RADIUS, P3_THRESHOLD = 20, 16, 1
+# The image baselines, for `attack` and `obfuscate` alike: method name ->
+# (report label, [attack] key, its default, transform of an (n, size, size,
+# channels) uint8 stack and the key's value). `obfuscate`'s flag for each is
+# the key without the method name: --factor, --radius, --threshold.
+BASELINES = {
+    "pixelate": ("Pixelation", "pixelate_factor", 20, pixelate_stack),
+    "blur": ("Blurring", "blur_radius", 16, gaussian_blur_stack),
+    "p3": ("P3", "p3_threshold", 1, p3_public_stack),
+}
 
 
 class CliError(Exception):
@@ -119,7 +126,7 @@ _EXTRA_KEYS = {
     "data": {"kind", "source_dir", "size", "class_count", "per_class"},
     "train": set(),
     "attack": {"methods", "model_checkpoint", "msednet_checkpoint",
-               "pixelate_factor", "blur_radius", "p3_threshold"},
+               *(key for _, key, _, _ in BASELINES.values())},
     "sweep": {"proportions"},
     "plot": {"points_per_cluster"},
 }
@@ -275,7 +282,7 @@ def write_run_files(outdir: Path, command: str, config: dict, seed: int) -> None
 # check
 
 
-def cmd_check(seed: int = 0) -> int:
+def cmd_check(args, config: dict, seed: int) -> int:
     """Numeric self-checks; prints one PASS/FAIL line per check."""
     failures = 0
 
@@ -375,7 +382,7 @@ def _train_and_hold_out(dataset: LabeledDataset, tcfg: TrainConfig, seed: int, o
     return held.data, reconstruct(held, bundle).data, encrypt(held, bundle, noise).data
 
 
-def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
+def cmd_train_toy(args, config: dict, seed: int) -> int:
     dataset = dataset_from(config, seed, "toy")
     held_rows = dataset.heldout_idx.size
     if held_rows < 2:
@@ -386,7 +393,7 @@ def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
     plot_n = _get(config, "plot", "points_per_cluster", 200, int)
     if plot_n < 0:
         raise ValueError(f"plot.points_per_cluster must be non-negative, got {plot_n}")
-    write_run_files(outdir, "train-toy", config, seed)
+    write_run_files(args.out, args.command, config, seed)
 
     idx = _toy_snapshot_indices(dataset, plot_n, seed)
     plot_x = Tensor(dataset.features[idx])
@@ -401,29 +408,29 @@ def cmd_train_toy(config: dict, outdir: Path, seed: int) -> int:
         snapshots_enc[iteration] = encrypt(plot_x, bundle, panel_noise).data
 
     marks = {0, 100, 500, tcfg.iterations}
-    held, recon, encrypted = _train_and_hold_out(dataset, tcfg, seed, outdir,
+    held, recon, encrypted = _train_and_hold_out(dataset, tcfg, seed, args.out,
                                                  snapshot_iters=marks, snapshot_fn=snap)
     scatter_report(plot_x.data, plot_labels, snapshots_enc, snapshots_rec,
-                   csv_path=outdir / "scatter.csv", svg_path=outdir / "scatter.svg")
+                   csv_path=args.out / "scatter.csv", svg_path=args.out / "scatter.svg")
     sep = separability(recon, encrypted, acfg)
     mse = float(np.mean((recon - held) ** 2))
     print(f"reconstruction mse {mse:.6f}")
     print(f"separability {sep:.4f}")
-    print(f"artifacts in {outdir}")
+    print(f"artifacts in {args.out}")
     return 0
 
 
-def cmd_train_image(config: dict, outdir: Path, seed: int) -> int:
+def cmd_train_image(args, config: dict, seed: int) -> int:
     dataset = dataset_from(config, seed, "tiny")
     tcfg = train_config_from(config, seed, dataset)
-    write_run_files(outdir, "train-image", config, seed)
-    held, recon, encrypted = _train_and_hold_out(dataset, tcfg, seed, outdir)
+    write_run_files(args.out, args.command, config, seed)
+    held, recon, encrypted = _train_and_hold_out(dataset, tcfg, seed, args.out)
     peak = float(dataset.features.max() - dataset.features.min())
     recon_db = psnr(recon, held, peak)
     enc_db = psnr(encrypted, held, peak)
     print(f"psnr reconstructed {recon_db:.2f} dB")
     print(f"psnr encrypted {enc_db:.2f} dB")
-    print(f"artifacts in {outdir}")
+    print(f"artifacts in {args.out}")
     return 0
 
 
@@ -434,9 +441,9 @@ def cmd_train_image(config: dict, outdir: Path, seed: int) -> int:
 def _load_model(checkpoint, width: int) -> ModelBundle:
     """The checkpoint's models; a usage error unless they take `width` input values."""
     bundle, _ = load_checkpoint(checkpoint)
-    if bundle.input_width != width:
+    if bundle.config.input_width != width:
         raise usage_error(f"checkpoint {checkpoint} expects input width "
-                          f"{bundle.input_width}, the data has width {width}")
+                          f"{bundle.config.input_width}, the data has width {width}")
     return bundle
 
 
@@ -446,7 +453,7 @@ def _image_like(img: Image, features: np.ndarray) -> Image:
                  features_to_pixels(features).reshape(img.pixels.shape))
 
 
-def cmd_obfuscate(args, seed: int) -> int:
+def cmd_obfuscate(args, config: dict, seed: int) -> int:
     if args.method == "model" and not args.checkpoint:
         raise usage_error("--checkpoint is required for method=model")
     img = load_pixmap(args.input)
@@ -519,7 +526,7 @@ def _model_method(name: str, bundle: ModelBundle, noise_std: float) -> Obfuscati
     def reconstruct_fn(features: np.ndarray) -> np.ndarray:
         return reconstruct(Tensor(features), bundle).data
 
-    proportion = bundle.privacy_width / bundle.feature_width
+    proportion = bundle.config.privacy_width / bundle.config.feature_width
     return ObfuscationMethod(name, encrypt_fn, reconstruct_fn, proportion)
 
 
@@ -527,22 +534,14 @@ def build_methods(config: dict, dataset: LabeledDataset, noise_std: float) -> li
     raw = config.get("attack", {}).get("methods", "pixelate,blur,p3")
     methods = []
     for name in (m.strip() for m in raw.split(",") if m.strip()):
-        if name == "pixelate":
-            factor = _get(config, "attack", "pixelate_factor", PIXELATE_FACTOR, int)
-            methods.append(_image_space_method(
-                f"Pixelation({factor})", "pixelate_factor", dataset,
-                lambda px, f=factor: pixelate_stack(px, f)))
-        elif name == "blur":
-            radius = _get(config, "attack", "blur_radius", BLUR_RADIUS, int)
-            methods.append(_image_space_method(
-                f"Blurring({radius})", "blur_radius", dataset,
-                lambda px, r=radius: gaussian_blur_stack(px, r)))
-        elif name == "p3":
-            threshold = _get(config, "attack", "p3_threshold", P3_THRESHOLD, int)
-            method = _image_space_method(
-                f"P3({threshold})", "p3_threshold", dataset,
-                lambda px, t=threshold: p3_public_stack(px, t))
-            method.proportion = _mean_secret_proportion(dataset, threshold)
+        if name in BASELINES:
+            label, key, default, stack = BASELINES[name]
+            value = _get(config, "attack", key, default, int)
+            method = _image_space_method(f"{label}({value})", key, dataset,
+                                         lambda px, f=stack, v=value: f(px, v))
+            if name == "p3":  # P3's secret proportion, averaged over the first 10 images
+                method.proportion = float(np.mean([secret_proportion(p3_encode(img, value))
+                                                   for img in dataset.images[:10]]))
             methods.append(method)
         elif name in ("model", "msednet"):
             ckpt = config.get("attack", {}).get(f"{name}_checkpoint")
@@ -555,23 +554,17 @@ def build_methods(config: dict, dataset: LabeledDataset, noise_std: float) -> li
     return methods
 
 
-def _mean_secret_proportion(dataset: LabeledDataset, threshold: int) -> float:
-    """P3's secret proportion, averaged over the first 10 images of `dataset`."""
-    return float(np.mean([secret_proportion(p3_encode(img, threshold))
-                          for img in dataset.images[:10]]))
-
-
-def cmd_attack(config: dict, outdir: Path, seed: int) -> int:
+def cmd_attack(args, config: dict, seed: int) -> int:
     dataset = dataset_from(config, seed)
     tcfg = train_config_from(config, seed, dataset)
     methods = build_methods(config, dataset, tcfg.noise_std)
     acfg = attack_config_from(config, seed)
-    write_run_files(outdir, "attack", config, seed)
-    reports = compare_methods(dataset, methods, acfg, csv_path=outdir / "report.csv")
+    write_run_files(args.out, args.command, config, seed)
+    reports = compare_methods(dataset, methods, acfg, csv_path=args.out / "report.csv")
     for r in reports:
         note = f"  [{r.note}]" if r.note else ""
         print(f"{r.method:>16}: accuracy {r.accuracy:.4f} (chance {r.chance:.4f}){note}")
-    print(f"report -> {outdir / 'report.csv'}")
+    print(f"report -> {args.out / 'report.csv'}")
     return 0
 
 
@@ -579,7 +572,7 @@ def _fractions(raw: str) -> list[Fraction]:
     return [Fraction(p.strip()) for p in raw.split(",") if p.strip()]
 
 
-def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
+def cmd_sweep_proportion(args, config: dict, seed: int) -> int:
     dataset = dataset_from(config, seed)
     proportions = _get(config, "sweep", "proportions",
                        _fractions("1/64,1/32,1/16,1/8,1/4,1/2"), _fractions)
@@ -589,7 +582,7 @@ def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
     # every proportion is checked before the first run trains or writes a file
     sweep = [replace(base, privacy_proportion=p) for p in proportions]
     acfg = attack_config_from(config, seed)
-    write_run_files(outdir, "sweep-proportion", config, seed)
+    write_run_files(args.out, args.command, config, seed)
     reports = []
     for tcfg in sweep:
         proportion = tcfg.privacy_proportion
@@ -599,16 +592,16 @@ def cmd_sweep_proportion(config: dict, outdir: Path, seed: int) -> int:
         reports.append(r)
         print(f"proportion {proportion}: recon {r.psnr_recon_db:.2f} dB, "
               f"encrypted {r.psnr_encrypted_db:.2f} dB, attack {r.accuracy:.4f}")
-    write_report_csv(reports, outdir / "sweep.csv")
-    print(f"sweep -> {outdir / 'sweep.csv'}")
+    write_report_csv(reports, args.out / "sweep.csv")
+    print(f"sweep -> {args.out / 'sweep.csv'}")
     return 0
 
 
-def cmd_report(run_dir: Path) -> int:
-    paths = [p for p in (run_dir / n for n in ("history.csv", "report.csv", "sweep.csv"))
+def cmd_report(args, config: dict, seed: int) -> int:
+    paths = [p for p in (args.run / n for n in ("history.csv", "report.csv", "sweep.csv"))
              if p.exists()]
     if not paths:
-        raise CliError(f"no run artifacts found in {run_dir}", 3)
+        raise CliError(f"no run artifacts found in {args.run}", 3)
     for path in paths:
         try:
             with open(path, newline="", encoding="ascii") as fh:
@@ -638,29 +631,34 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run seed (fallback: [train] seed, then [data] seed, then 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("check", help="run the numeric self-checks")
+    # each subcommand carries its handler, which `main` calls as handler(args, config, seed)
+    sub.add_parser("check", help="run the numeric self-checks").set_defaults(handler=cmd_check)
 
-    for name, help_text in (("train-toy", "train on 2-D synthetic clusters"),
-                            ("train-image", "train on the tiny-image dataset"),
-                            ("attack", "train attack classifiers against methods"),
-                            ("sweep-proportion", "train across privacy proportions")):
+    for name, handler, help_text in (
+            ("train-toy", cmd_train_toy, "train on 2-D synthetic clusters"),
+            ("train-image", cmd_train_image, "train on the tiny-image dataset"),
+            ("attack", cmd_attack, "train attack classifiers against methods"),
+            ("sweep-proportion", cmd_sweep_proportion, "train across privacy proportions")):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", type=Path, default=None, help="INI config file")
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
     p = sub.add_parser("obfuscate", help="obfuscate one pixmap image")
-    p.add_argument("--method", choices=("pixelate", "blur", "p3", "model"), required=True)
+    p.set_defaults(handler=cmd_obfuscate)
+    p.add_argument("--method", choices=(*BASELINES, "model"), required=True)
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--output", type=Path, required=True)
-    p.add_argument("--factor", type=int, default=PIXELATE_FACTOR, help="pixelation grid size")
-    p.add_argument("--radius", type=int, default=BLUR_RADIUS, help="blur radius")
-    p.add_argument("--threshold", type=int, default=P3_THRESHOLD, help="coefficient threshold")
+    for name, (_, key, default, _) in BASELINES.items():
+        p.add_argument(f"--{key.removeprefix(name + '_')}", type=int, default=default,
+                       help=f"as [attack] {key}")
     p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--secret-out", type=Path, default=None)
     p.add_argument("--recon-out", type=Path, default=None)
     p.add_argument("--noise-std", type=float, default=TrainConfig.noise_std)
 
     p = sub.add_parser("report", help="summarize a run directory")
+    p.set_defaults(handler=cmd_report)
     p.add_argument("--run", type=Path, required=True)
     return parser
 
@@ -673,21 +671,7 @@ def main(argv=None) -> int:
         seed = resolve_seed(args.seed, config)
         if args.seed is not None:
             config = _with_run_seed(config, seed)
-        if args.command == "check":
-            return cmd_check(seed)
-        if args.command == "train-toy":
-            return cmd_train_toy(config, args.out, seed)
-        if args.command == "train-image":
-            return cmd_train_image(config, args.out, seed)
-        if args.command == "obfuscate":
-            return cmd_obfuscate(args, seed)
-        if args.command == "attack":
-            return cmd_attack(config, args.out, seed)
-        if args.command == "sweep-proportion":
-            return cmd_sweep_proportion(config, args.out, seed)
-        if args.command == "report":
-            return cmd_report(args.run)
-        raise usage_error(f"unknown command {args.command}")  # pragma: no cover
+        return args.handler(args, config, seed)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

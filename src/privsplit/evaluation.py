@@ -188,7 +188,8 @@ def attack_method(dataset: LabeledDataset, method: ObfuscationMethod,
     `method.encrypt(dataset.features, rng)` must keep the feature shape. The
     accuracy, with its Wilson interval, is :func:`attack_train_eval`'s under
     `config`. The PSNRs compare the held-out encrypted (and reconstructed)
-    rows with the original ones, the peak being the set's value range.
+    rows with the original ones, the peak being the set's value range;
+    `method.reconstruct` is given only the held-out rows.
     """
     held = dataset.heldout_idx
     original_held = dataset.features[held]
@@ -200,8 +201,7 @@ def attack_method(dataset: LabeledDataset, method: ObfuscationMethod,
     psnr_enc = psnr(encrypted[held], original_held, peak)
     psnr_rec = None
     if method.reconstruct is not None:
-        recon = method.reconstruct(dataset.features)
-        psnr_rec = psnr(recon[held], original_held, peak)
+        psnr_rec = psnr(method.reconstruct(original_held), original_held, peak)
     return AttackReport(method.name, accuracy, 1.0 / dataset.class_count, psnr_rec, psnr_enc,
                         method.proportion, **_interval(accuracy, held.size))
 

@@ -72,18 +72,6 @@ class ModelBundle:
     perceptual: list[Layer]  # frozen: requires_grad stays False
     config: ModelConfig
 
-    @property
-    def feature_width(self) -> int:
-        return self.config.feature_width
-
-    @property
-    def privacy_width(self) -> int:
-        return self.config.privacy_width
-
-    @property
-    def input_width(self) -> int:
-        return self.config.input_width
-
     def generator_parameters(self) -> list[Tensor]:
         return [t for layer in self.encoder + self.decoder for t in (layer.w, layer.b)]
 
@@ -174,8 +162,9 @@ def encode(x: Tensor, bundle: ModelBundle) -> tuple[Tensor, Tensor]:
     the two parts back reproduces the raw encoder output exactly.
     """
     y = _mlp_forward(bundle.encoder, x)
-    cut = bundle.feature_width - bundle.privacy_width
-    return slice_cols(y, 0, cut), slice_cols(y, cut, bundle.feature_width)
+    width = bundle.config.feature_width
+    cut = width - bundle.config.privacy_width
+    return slice_cols(y, 0, cut), slice_cols(y, cut, width)
 
 
 def merge(public_part: Tensor, privacy_part: Tensor, bundle: ModelBundle) -> Tensor:
@@ -184,10 +173,10 @@ def merge(public_part: Tensor, privacy_part: Tensor, bundle: ModelBundle) -> Ten
     Only the privacy width is checked here, which catches swapped arguments;
     the concatenation and the next :func:`decode` reject any other shape.
     """
-    if privacy_part.data.shape[-1] != bundle.privacy_width:
+    if privacy_part.data.shape[-1] != bundle.config.privacy_width:
         raise ValueError(
             f"privacy part has width {privacy_part.data.shape[-1]}, "
-            f"expected {bundle.privacy_width} (argument order is public, privacy)")
+            f"expected {bundle.config.privacy_width} (argument order is public, privacy)")
     return concat([public_part, privacy_part])
 
 
@@ -220,9 +209,10 @@ def encrypt(x: Tensor, bundle: ModelBundle, noise: NoiseSpec) -> Tensor:
     the fresh encoder output (safe: see the module docstring).
     """
     y = _mlp_forward(bundle.encoder, x)
-    n = _noise((len(y.data), bundle.privacy_width), noise)
+    privacy_width = bundle.config.privacy_width
+    n = _noise((len(y.data), privacy_width), noise)
     if n is not None:
-        y.data[:, -bundle.privacy_width:] += n
+        y.data[:, -privacy_width:] += n
     return decode(y, bundle)
 
 

@@ -75,9 +75,6 @@ class P3Package:
     public_coefficients: np.ndarray  # int32 (channels, block_rows, block_cols, 8, 8)
     secret: np.ndarray  # _RECORD records (block id, coefficient id, value)
     threshold: int
-    width: int
-    height: int
-    channels: int
 
 
 def _to_blocks(planes: np.ndarray) -> np.ndarray:
@@ -158,9 +155,6 @@ def p3_encode(img: Image, threshold: int) -> P3Package:
         public_coefficients=public,
         secret=secret,
         threshold=threshold,
-        width=img.width,
-        height=img.height,
-        channels=img.channels,
     )
 
 
@@ -170,8 +164,9 @@ def serialize_secret(pkg: P3Package) -> bytes:
     Header: magic "P3SC", version u8, width u32, height u32, channels u8,
     threshold u16. Records: block id u32, coefficient id u8, value i16.
     """
-    return _HEADER.pack(SECRET_MAGIC, SECRET_VERSION, pkg.width, pkg.height,
-                        pkg.channels, pkg.threshold) + pkg.secret.tobytes()
+    img = pkg.public_image
+    return _HEADER.pack(SECRET_MAGIC, SECRET_VERSION, img.width, img.height,
+                        img.channels, pkg.threshold) + pkg.secret.tobytes()
 
 
 def secret_proportion(pkg: P3Package) -> float:

@@ -154,9 +154,6 @@ class TrainHistory:
         self.l_perceptual.append(l_perceptual)
         self.l_g_total.append(l_g_total)
 
-    def __len__(self) -> int:
-        return len(self.iterations)
-
 
 def _check_finite(iteration: int, **terms: float) -> None:
     for name, value in terms.items():

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import hashlib
@@ -140,7 +141,7 @@ def test_obfuscate_with_non_finite_noise_std_exits_1_naming_it(trained_run, caps
 
 
 def checkpoint_width_message(checkpoint, data_width):
-    width = load_checkpoint(checkpoint)[0].input_width
+    width = load_checkpoint(checkpoint)[0].config.input_width
     return (f"error: checkpoint {checkpoint} expects input width {width}, "
             f"the data has width {data_width}")
 
@@ -717,3 +718,57 @@ def test_ini_keys_are_the_field_names_plus_the_documented_extras():
         "sweep": {"proportions"},
         "plot": {"points_per_cluster"},
     }
+
+
+# the arguments each subcommand requires
+COMMAND_ARGS = {
+    "check": [],
+    "train-toy": ["--out", "run"],
+    "train-image": ["--out", "run"],
+    "attack": ["--out", "run"],
+    "sweep-proportion": ["--out", "run"],
+    "obfuscate": ["--method", "blur", "--input", "in.pgm", "--output", "out.pgm"],
+    "report": ["--run", "run"],
+}
+
+
+def subcommands() -> dict:
+    """`build_parser()`'s subcommand name -> its parser."""
+    (action,) = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_subcommand_is_exercised_below():
+    assert set(subcommands()) == set(COMMAND_ARGS)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_each_subcommand_dispatches_to_its_own_handler(monkeypatch, command):
+    calls = []
+
+    def recorder(name):
+        def handler(args, config, seed):
+            calls.append((name, args.command, seed))
+            return 7
+        return handler
+
+    handlers = {c: "cmd_" + c.replace("-", "_") for c in COMMAND_ARGS}
+    for name in handlers.values():
+        monkeypatch.setattr(cli, name, recorder(name))
+    assert cli.main(["--seed", "4", command, *COMMAND_ARGS[command]]) == 7
+    assert calls == [(handlers[command], command, 4)]
+
+
+def test_obfuscate_flags_and_attack_keys_agree_with_the_baselines_table():
+    flags = {"pixelate": "factor", "blur": "radius", "p3": "threshold"}
+    assert {name: (key, default) for name, (_, key, default, _) in cli.BASELINES.items()} == {
+        "pixelate": ("pixelate_factor", 20), "blur": ("blur_radius", 16),
+        "p3": ("p3_threshold", 1)}
+    args = cli.build_parser().parse_args(["obfuscate", "--method", "p3", "--input", "i",
+                                          "--output", "o"])
+    assert {name: getattr(args, flags[name]) for name in cli.BASELINES} == {
+        name: default for name, (_, _, default, _) in cli.BASELINES.items()}
+    (method,) = [a for a in subcommands()["obfuscate"]._actions if a.dest == "method"]
+    assert list(method.choices) == [*cli.BASELINES, "model"]
+    assert {key for _, key, _, _ in cli.BASELINES.values()} <= cli.KNOWN_KEYS["attack"]

@@ -9,7 +9,7 @@ import pytest
 
 from privsplit import evaluation
 from privsplit.autodiff import Tensor
-from privsplit.datasets import ClusterSpec, gen_toy_clusters
+from privsplit.datasets import ClusterSpec, gen_toy_clusters, make_tiny_image_dataset
 from privsplit.evaluation import (
     AttackConfig,
     ObfuscationMethod,
@@ -22,6 +22,7 @@ from privsplit.evaluation import (
     wilson_interval,
     write_report_csv,
 )
+from privsplit.models import ModelConfig, build_models, reconstruct
 from privsplit.svgplot import cluster_color
 
 FAST = AttackConfig(iterations=400, seed=11)
@@ -276,6 +277,26 @@ class TestAttackMethod:
         peak = float(ds.features.max() - ds.features.min())
         assert report.psnr_encrypted_db == math.inf
         assert report.psnr_recon_db == psnr(ds.features[held] + 0.5, ds.features[held], peak)
+
+    def test_reconstruct_sees_only_the_held_out_rows(self):
+        ds = make_tiny_image_dataset(per_class=20, seed=4)
+        bundle = build_models(ModelConfig(input_width=ds.width, feature_width=128,
+                                          privacy_width=2, seed=3))
+        seen = []
+
+        def model_reconstruct(features):
+            seen.append(features)
+            return reconstruct(Tensor(features), bundle).data
+
+        method = ObfuscationMethod("model", lambda f, rng: f.copy(), model_reconstruct)
+        report = attack_method(ds, method, AttackConfig(iterations=20, seed=1),
+                               np.random.default_rng(0))
+        held = ds.heldout_idx
+        assert len(seen) == 1 and np.array_equal(seen[0], ds.features[held])
+        # bitwise the value of reconstructing the whole set and slicing the held-out rows
+        full = reconstruct(Tensor(ds.features), bundle).data
+        peak = float(ds.features.max() - ds.features.min())
+        assert report.psnr_recon_db == psnr(full[held], ds.features[held], peak)
 
     def test_a_method_that_changes_the_feature_shape_raises(self):
         ds = toy(seed=6, per=20)

@@ -1,8 +1,9 @@
 """Every name a ``privsplit`` module imports is used in that module, every
-name a module defines is read by the package or the benchmark, not only by a
-test, and no module reads the environment."""
+name a module defines and every method of its classes is read by the package
+or the benchmark, not only by a test, and no module reads the environment."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -116,3 +117,41 @@ def test_the_scan_finds_a_helper_that_only_a_test_calls():
     test = "from privsplit.helper import only_tested\nassert only_tested() is only_tested\n"
     assert unread_names(modules, [bench]) == ["helper.only_tested"]
     assert unread_names(modules, [bench, test]) == []
+
+
+def unread_members(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.Class.name`` for each method or property of a top-level class in
+    `modules` (module name -> source) that no attribute read names, in
+    `modules` or in `readers`, outside the member's own definition. Dunder
+    methods are protocol names and are not checked.
+    """
+    trees = [ast.parse(source) for source in list(modules.values()) + readers]
+    attributes = Counter(n.attr for tree in trees for n in ast.walk(tree)
+                         if isinstance(n, ast.Attribute))
+    unread = []
+    for module, tree in zip(modules, trees):
+        for cls in (s for s in tree.body if isinstance(s, ast.ClassDef)):
+            for member in cls.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not member.name.startswith("__")):
+                    own = sum(1 for n in ast.walk(member)
+                              if isinstance(n, ast.Attribute) and n.attr == member.name)
+                    if attributes[member.name] == own:
+                        unread.append(f"{module}.{cls.name}.{member.name}")
+    return unread
+
+
+def test_every_method_has_a_caller_outside_the_tests():
+    assert unread_members(package_sources(), perfbench_sources()) == []
+
+
+def test_the_scan_finds_a_method_that_only_a_test_calls():
+    modules = {"core": ("class Box:\n"
+                        "    def used(self):\n        return self.size\n\n"
+                        "    @property\n    def size(self):\n        return 1\n\n"
+                        "    def only_tested(self):\n        return self.only_tested\n\n"
+                        "    def __len__(self):\n        return 0\n")}
+    bench = "from privsplit.core import Box\nBox().used()\n"
+    test = "from privsplit.core import Box\nassert Box().only_tested()\n"
+    assert unread_members(modules, [bench]) == ["core.Box.only_tested"]
+    assert unread_members(modules, [bench, test]) == []

@@ -36,8 +36,8 @@ def perceptual_tensors(bundle):
 class TestBuildModels:
     def test_default_toy_split(self):
         bundle = toy_bundle()
-        assert bundle.feature_width == 128
-        assert bundle.privacy_width == 2
+        assert bundle.config.feature_width == 128
+        assert bundle.config.privacy_width == 2
 
     def test_proportion_half(self):
         cfg = TrainConfig(privacy_proportion=Fraction(1, 2)).model_config(0)
@@ -133,7 +133,7 @@ def test_a_batch_one_column_too_wide_is_rejected(view, forward, width):
     if view:
         bundle = bundle.detached()
     with pytest.raises(ValueError, match="dense shape mismatch"):
-        forward(Tensor(np.zeros((3, getattr(bundle, width) + 1))), bundle)
+        forward(Tensor(np.zeros((3, getattr(bundle.config, width) + 1))), bundle)
 
 
 class TestFakePrivacy:

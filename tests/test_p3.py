@@ -43,12 +43,13 @@ def quantized_reference(img: Image) -> Image:
 
 def p3_decode(pkg: P3Package) -> Image:
     """Reinsert the secret coefficients and invert the codec."""
+    img = pkg.public_image
     shape = pkg.public_coefficients.shape
-    assert shape[0] == pkg.channels and shape[3:] == (8, 8)
+    assert shape[0] == img.channels and shape[3:] == (8, 8)
     flat = pkg.public_coefficients.reshape(-1, 64).copy()
     flat[pkg.secret["block"], pkg.secret["coefficient"]] = pkg.secret["value"]
     coeffs = flat.reshape(shape)
-    return Image.from_array(_dequantize_to_image(coeffs, 1, pkg.height, pkg.width)[0])
+    return Image.from_array(_dequantize_to_image(coeffs, 1, img.height, img.width)[0])
 
 
 # the wire record, read with `struct` rather than with the encoder's record dtype

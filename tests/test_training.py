@@ -75,14 +75,14 @@ class TestTrainBasics:
     def test_zero_iterations_returns_initial_models(self):
         data = small_blobs()
         bundle, history = train(data, quick_config(iterations=0))
-        assert len(history) == 0
+        assert len(history.iterations) == 0
         fresh = train(data, quick_config(iterations=0))[0]
         for a, b in zip(bundle.all_parameters(), fresh.all_parameters()):
             assert np.array_equal(a.data, b.data)
 
     def test_iteration_count_and_finite_history(self):
         _, history = train(small_blobs(), quick_config(iterations=25))
-        assert len(history) == 25
+        assert len(history.iterations) == 25
         assert all(np.isfinite(v) for v in history.l_g_total)
 
     def test_bitwise_determinism(self):
@@ -387,7 +387,7 @@ class TestAblations:
     def test_msednet_recorded_total_matches_loss_op(self):
         data = small_blobs()
         bundle, history = train(data, quick_config(ablation="msednet", iterations=1))
-        assert len(history) == 1
+        assert len(history.iterations) == 1
         # recompute the op on the same state: cheap structural cross-check
         x = Tensor(data[:8])
         x_r = reconstruct(x, bundle)
