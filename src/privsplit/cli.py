@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, backward, bce, grad_check, sigmoid, tsum
+from .autodiff import Tensor, backward, bce, grad_check, sigmoid, softmax_cross_entropy, tsum
 from .datasets import (
     ClusterSpec,
     LabeledDataset,
@@ -74,6 +74,8 @@ from .models import (
     ModelBundle,
     ModelConfig,
     NoiseSpec,
+    _init_mlp,
+    _mlp_forward,
     build_models,
     encrypt,
     reconstruct,
@@ -88,12 +90,14 @@ from .objectives import (
 from .optim import Adam
 from .p3 import p3_encode, p3_public_stack, secret_proportion, serialize_secret
 from .training import (
+    ABLATIONS,
     TrainConfig,
     TrainingDivergedError,
     load_checkpoint,
     objective,
     save_checkpoint,
     train,
+    trained_parameters,
     write_history_csv,
 )
 
@@ -293,8 +297,7 @@ def cmd_check(args, config: dict, seed: int) -> int:
         if not ok:
             failures += 1
 
-    # 1. `full` training-objective gradients vs central differences on small networks
-    loss_cfg = TrainConfig(use_perceptual=True)
+    # 1. each ablation's training-objective gradients vs central differences on small networks
     worst = 0.0
     rng = np.random.default_rng(seed)
     for trial in range(5):
@@ -304,8 +307,10 @@ def cmd_check(args, config: dict, seed: int) -> int:
         bundle = build_models(cfg)
         x = Tensor(rng.standard_normal((3, 2)))
         noise = NoiseSpec(std=1.0, seed=int(rng.integers(2**31)))
-        worst = max(worst, grad_check(lambda: objective(x, bundle, loss_cfg, noise)[0],
-                                      bundle.all_parameters(), eps=1e-5))
+        for ablation in ABLATIONS:
+            loss_cfg = TrainConfig(use_perceptual=True, ablation=ablation)
+            worst = max(worst, grad_check(lambda: objective(x, bundle, loss_cfg, noise)[0],
+                                          trained_parameters(bundle, ablation), eps=1e-5))
     report("gradient-check", worst < 1e-4, f"max relative error {worst:.3e}")
 
     # 2. shared objective at the optimal discriminator == ln4 - 2*JSD
@@ -323,6 +328,15 @@ def cmd_check(args, config: dict, seed: int) -> int:
     # 3. a discriminator trained on samples recovers the density ratio
     gap = _optimal_discriminator_recovery_gap(seed + 2)
     report("optimal-discriminator-recovery", gap < 0.05, f"max deviation {gap:.4f}")
+
+    # 4. the attack probe's loss gradients, on a small float64 MLP built as the probe's is
+    rng = np.random.default_rng(seed + 3)
+    layers = _init_mlp(rng, [2, 6, 6, 3])
+    x = Tensor(rng.standard_normal((5, 2)))
+    labels = rng.integers(0, 3, size=5)
+    err = grad_check(lambda: softmax_cross_entropy(_mlp_forward(layers, x), labels),
+                     [t for layer in layers for t in (layer.w, layer.b)], eps=1e-5)
+    report("probe-gradient-check", err < 1e-4, f"max relative error {err:.3e}")
 
     return 1 if failures else 0
 

@@ -10,14 +10,16 @@ probe: :func:`separability` runs the same classifier on reconstructed
 against encrypted samples, split by source (a classifier two-sample test,
 Lopez-Paz & Oquab, arXiv 1610.06545).
 
-The probe trains and predicts in float32 (``CLASSIFIER_DTYPE``). It is an
-instrument: it reads one accuracy off a held-out split (80 images on the
-tiny-image set), whose 95 % interval spans many samples, and float32
-rounding is far below that (every float32 accuracy measured against float64
-was equal; CHANGES.md keeps the table). Float32 halves the memory traffic of
-its Adam updates and matmuls, which are most of an attack run. The
-encryption model, its discriminator and the perceptual net train in
-float64, as do ``privsplit check`` and every bitwise test of training.
+The probe is one fixed instrument: a float32 (``CLASSIFIER_DTYPE``) MLP
+with two tanh layers of 128 units, trained by Adam at α 1e-3 on batches of
+64 rows; :class:`AttackConfig` sets only its ``iterations`` and ``seed``.
+Float32 suffices: the probe reads one accuracy off a held-out split (80
+images on the tiny-image set) whose 95 % interval spans many samples, far
+above float32 rounding (every float32 accuracy measured against float64 was
+equal; CHANGES.md keeps the table), and it halves the memory traffic of the
+Adam updates and matmuls, most of an attack run. The encryption model, its
+discriminator and the perceptual net train in float64, as do ``privsplit
+check`` and every bitwise test of training.
 """
 
 from __future__ import annotations
@@ -50,25 +52,20 @@ def psnr(a, b, peak: float) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-# The dtype the probe trains and predicts in (see the module docstring).
+# The probe's fixed dtype, hidden width and batch size (see the module docstring).
 CLASSIFIER_DTYPE = np.float32
+PROBE_HIDDEN_WIDTH = 128
+PROBE_BATCH_SIZE = 64
 
 
 @dataclass
 class AttackConfig:
-    hidden_width: int = 128
     iterations: int = 800
-    batch_size: int = 64
-    alpha: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("hidden_width", "iterations", "batch_size"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"attack {name} must be at least 1, got {value}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"attack alpha must be finite and positive, got {self.alpha}")
+        if self.iterations < 1:
+            raise ValueError(f"attack iterations must be at least 1, got {self.iterations}")
         if self.seed < 0:
             raise ValueError(f"attack seed must be non-negative, got {self.seed}")
 
@@ -80,12 +77,12 @@ def _train_classifier(features, labels, out_width, config: AttackConfig):
     gradient buffer dies here and a forward pass through them records no graph.
     """
     rng = np.random.default_rng(config.seed)
-    widths = [features.shape[1], config.hidden_width, config.hidden_width, out_width]
+    widths = [features.shape[1], PROBE_HIDDEN_WIDTH, PROBE_HIDDEN_WIDTH, out_width]
     layers = _init_mlp(rng, widths, dtype=features.dtype)
-    opt = Adam([t for layer in layers for t in (layer.w, layer.b)], alpha=config.alpha)
+    opt = Adam([t for layer in layers for t in (layer.w, layer.b)])
     n = features.shape[0]
     for _ in range(config.iterations):
-        idx = rng.integers(0, n, size=config.batch_size)
+        idx = rng.integers(0, n, size=PROBE_BATCH_SIZE)
         x = Tensor(features[idx])
         backward(softmax_cross_entropy(_mlp_forward(layers, x), labels[idx]))
         opt.step()

@@ -184,6 +184,11 @@ def objective(x: Tensor, bundle: ModelBundle, config: TrainConfig,
     return msednet_loss(recon_combined, x, x_e, phi), recon_mse, perceptual, None
 
 
+def trained_parameters(bundle: ModelBundle, ablation: str) -> list[Tensor]:
+    """The parameters `train` updates under `ablation`: only ``full`` trains the discriminator."""
+    return bundle.all_parameters() if ablation == "full" else bundle.generator_parameters()
+
+
 def train(features, config: TrainConfig,
           snapshot_iters: Iterable[int] = (),
           snapshot_fn: Callable[[int, ModelBundle], None] | None = None,
@@ -216,9 +221,7 @@ def train(features, config: TrainConfig,
     history = TrainHistory()
     snapshot_iters = set(snapshot_iters)
 
-    full = config.ablation == "full"  # only full trains the discriminator
-    opt = Adam(bundle.all_parameters() if full else bundle.generator_parameters(),
-               alpha=config.alpha)
+    opt = Adam(trained_parameters(bundle, config.ablation), alpha=config.alpha)
     view = bundle.detached()  # after Adam has moved the weights into its buffer
 
     def snapshot(done: int) -> None:

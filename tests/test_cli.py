@@ -207,7 +207,9 @@ def test_image_baselines_are_pinned():
 def test_check_exits_0_and_passes_every_line(capsys):
     assert cli.main(["check"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines and all(line.startswith("PASS ") for line in lines)
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS gradient-check", "PASS divergence-identity", "PASS optimal-discriminator-recovery",
+        "PASS probe-gradient-check"]
 
 
 def test_attack_reports_every_baseline(tmp_path):
@@ -474,6 +476,10 @@ def run_with_config(tmp_path, text, command="train-toy"):
     ("train-toy", "[train]\nbeta1 = 0.9\n", "error: unknown key 'beta1' in section [train]"),
     ("train-toy", "[train]\nbeta2 = 0.999\n", "error: unknown key 'beta2' in section [train]"),
     ("train-toy", "[train]\nepsilon = 1e-8\n", "error: unknown key 'epsilon' in section [train]"),
+    ("train-toy", "[attack]\nhidden_width = 64\n",
+     "error: unknown key 'hidden_width' in section [attack]"),
+    ("train-toy", "[attack]\nbatch_size = 0\n", "error: unknown key 'batch_size' in section [attack]"),
+    ("train-toy", "[attack]\nalpha = nan\n", "error: unknown key 'alpha' in section [attack]"),
     ("train-toy", "[data]\nper_class = 5\nsize = 8\n",
      "error: data.kind = toy does not read [data] per_class, size"),
     ("train-toy", "[data]\nkind = tiny\n", "error: this command needs data.kind = toy, got 'tiny'"),
@@ -484,7 +490,8 @@ def run_with_config(tmp_path, text, command="train-toy"):
     ("attack", "[data]\nkind = tiny\ncluster_count = 3\n",
      "error: data.kind = tiny does not read [data] cluster_count"),
 ], ids=["percent", "not-utf8", "default-section", "sweep-iterations", "sweep-zero-denominator",
-        "sweep-not-a-fraction", "beta1", "beta2", "epsilon", "toy-with-tiny-keys", "toy-told-tiny",
+        "sweep-not-a-fraction", "beta1", "beta2", "epsilon", "attack-hidden-width",
+        "attack-batch-size", "attack-alpha", "toy-with-tiny-keys", "toy-told-tiny",
         "image-told-toy", "image-with-toy-key", "attack-tiny-with-toy-key"])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, command, text, message):
     assert run_with_config(tmp_path, text, command) == 2
@@ -499,9 +506,7 @@ TINY_ATTACK = "[data]\nkind = tiny\nper_class = 20\n\n[attack]\niterations = 5\n
 
 
 @pytest.mark.parametrize("command, text, message", [
-    ("train-toy", "[attack]\nbatch_size = 0\n", "error: attack batch_size must be at least 1"),
     ("sweep-proportion", "[attack]\niterations = 0\n", "error: attack iterations must be at least 1"),
-    ("train-toy", "[attack]\nalpha = nan\n", "error: attack alpha must be finite and positive"),
     ("train-toy", "[train]\nnoise_std = -1\n", "error: noise_std must be finite and non-negative"),
     ("train-toy", "[attack]\nseed = -1\n", "error: attack seed must be non-negative"),
     ("attack", TINY_ATTACK + "methods = pixelate\npixelate_factor = 0\n",
@@ -538,7 +543,7 @@ TINY_ATTACK = "[data]\nkind = tiny\nper_class = 20\n\n[attack]\niterations = 5\n
      "error: cluster_std must be finite and positive, got inf"),
     ("train-toy", "[data]\ncluster_std = 1e308\n",
      "error: the toy points overflow float64 at center_box 4.0 and cluster_std 1e+308"),
-], ids=["attack-batch-size", "sweep-attack-iterations", "attack-alpha", "noise-std",
+], ids=["sweep-attack-iterations", "noise-std",
         "attack-seed", "pixelate-factor", "blur-radius", "plot-points", "sweep-no-proportions",
         "attack-noise-std-negative", "attack-noise-std-nan", "attack-noise-std-inf",
         "image-no-classes", "image-negative-classes", "image-negative-size", "attack-one-class",
@@ -718,6 +723,31 @@ def test_ini_keys_are_the_field_names_plus_the_documented_extras():
         "sweep": {"proportions"},
         "plot": {"points_per_cluster"},
     }
+
+
+# Every setting a run can be given: each INI key by section, and each distinct
+# command-line flag. A knob added or removed fails here until this list changes too.
+SETTINGS = {
+    "data": {"kind", "seed", "cluster_count", "points_per_cluster", "center_box", "cluster_std",
+             "source_dir", "size", "class_count", "per_class"},
+    "train": {"iterations", "batch_size", "lambda", "alpha", "noise_std", "seed", "ablation",
+              "feature_width", "privacy_proportion", "use_perceptual"},
+    "attack": {"iterations", "seed", "methods", "model_checkpoint", "msednet_checkpoint",
+               "pixelate_factor", "blur_radius", "p3_threshold"},
+    "sweep": {"proportions"},
+    "plot": {"points_per_cluster"},
+    "flags": {"--seed", "--config", "--out", "--method", "--input", "--output", "--factor",
+              "--radius", "--threshold", "--checkpoint", "--secret-out", "--recon-out",
+              "--noise-std", "--run"},
+}
+
+
+def test_every_setting_is_listed():
+    flags = {flag for parser in [cli.build_parser(), *subcommands().values()]
+             for action in parser._actions if not isinstance(action, argparse._HelpAction)
+             for flag in action.option_strings}
+    assert {**cli.KNOWN_KEYS, "flags": flags} == SETTINGS
+    assert sum(map(len, SETTINGS.values())) == 44
 
 
 # the arguments each subcommand requires

@@ -101,15 +101,39 @@ class TestAttack:
 
 
 class TestAttackConfig:
-    @pytest.mark.parametrize("field", ["hidden_width", "iterations", "batch_size"])
-    def test_counts_must_be_at_least_one(self, field):
-        with pytest.raises(ValueError, match=field):
-            AttackConfig(**{field: 0})
+    def test_iterations_must_be_at_least_one(self):
+        with pytest.raises(ValueError, match="iterations"):
+            AttackConfig(iterations=0)
 
-    @pytest.mark.parametrize("alpha", [0.0, -1e-3, math.nan, math.inf])
-    def test_alpha_must_be_finite_and_positive(self, alpha):
-        with pytest.raises(ValueError, match="alpha"):
-            AttackConfig(alpha=alpha)
+
+def test_the_probe_is_one_fixed_instrument(monkeypatch):
+    """Two tanh layers of 128 in float32, 64 rows a step, Adam at 1e-3, whatever the config."""
+    widths, rows, alphas = [], [], []
+    real_init, real_forward = evaluation._init_mlp, evaluation._mlp_forward
+
+    def init(rng, layer_widths, **kwargs):
+        layers = real_init(rng, layer_widths, **kwargs)
+        widths.append((layer_widths, {layer.w.data.dtype for layer in layers}))
+        return layers
+
+    def forward(layers, x, *args):
+        rows.append((x.data.shape[0], x.data.dtype, layers[0].w.requires_grad))
+        return real_forward(layers, x, *args)
+
+    class RecordingAdam(evaluation.Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alphas.append(self.alpha)
+
+    monkeypatch.setattr(evaluation, "_init_mlp", init)
+    monkeypatch.setattr(evaluation, "_mlp_forward", forward)
+    monkeypatch.setattr(evaluation, "Adam", RecordingAdam)
+    ds = toy(seed=12, per=20)
+    attack_train_eval(ds, AttackConfig(iterations=3, seed=2))
+    assert widths == [([ds.width, 128, 128, ds.class_count], {np.dtype(np.float32)})]
+    f32 = np.dtype(np.float32)
+    assert rows == [(64, f32, True)] * 3 + [(ds.heldout_idx.size, f32, False)]
+    assert alphas == [1e-3]
 
 
 class TestProbeDtype:

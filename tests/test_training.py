@@ -215,7 +215,7 @@ class TestGraphsFreedByRefcount:
         assert cyclic_garbage_after(lambda: train(small_blobs(), cfg)) == 0
 
     def test_attack_and_separability_classifiers_leave_no_cyclic_garbage(self):
-        cfg = AttackConfig(iterations=5, batch_size=16)
+        cfg = AttackConfig(iterations=5)
         toy = gen_toy_clusters(ClusterSpec(cluster_count=3, points_per_cluster=20))
         assert cyclic_garbage_after(lambda: attack_train_eval(toy, cfg)) == 0
         rng = np.random.default_rng(1)
