@@ -29,7 +29,13 @@ from privsplit.image import Image, load_pixmap, save_pixmap
 from privsplit.obfuscation import gaussian_blur, pixelate
 from privsplit.models import NoiseSpec, encrypt, reconstruct
 from privsplit.p3 import p3_encode, serialize_secret
-from privsplit.training import TrainConfig, TrainingDivergedError, load_checkpoint, train
+from privsplit.training import (
+    ABLATIONS,
+    TrainConfig,
+    TrainingDivergedError,
+    load_checkpoint,
+    train,
+)
 
 
 def test_diverged_training_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
@@ -210,6 +216,42 @@ def test_check_exits_0_and_passes_every_line(capsys):
     assert [line.split(":")[0] for line in lines] == [
         "PASS gradient-check", "PASS divergence-identity", "PASS optimal-discriminator-recovery",
         "PASS probe-gradient-check"]
+
+
+def check_verdicts(capsys):
+    """`privsplit check`'s exit code and its PASS/FAIL word per check name."""
+    code = cli.main(["check"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    return code, dict(reversed(line.split(":")[0].split(" ")) for line in lines)
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+def test_check_fails_on_a_wrong_objective_gradient_under_any_ablation(monkeypatch, capsys,
+                                                                     ablation):
+    real_objective = cli.objective
+
+    def objective(x, bundle, config, noise):
+        total, *rest = real_objective(x, bundle, config, noise)
+        if config.ablation == ablation:  # a term central differences see and backward does not
+            total = total + Tensor(bundle.encoder[0].w.data.sum())
+        return (total, *rest)
+
+    monkeypatch.setattr(cli, "objective", objective)
+    assert check_verdicts(capsys) == (1, {
+        "gradient-check": "FAIL", "divergence-identity": "PASS",
+        "optimal-discriminator-recovery": "PASS", "probe-gradient-check": "PASS"})
+
+
+def test_check_fails_on_a_wrong_probe_loss_gradient(monkeypatch, capsys):
+    real_loss = cli.softmax_cross_entropy
+
+    def softmax_cross_entropy(logits, labels):
+        return real_loss(logits, labels) + Tensor(logits.data.sum())
+
+    monkeypatch.setattr(cli, "softmax_cross_entropy", softmax_cross_entropy)
+    assert check_verdicts(capsys) == (1, {
+        "gradient-check": "PASS", "divergence-identity": "PASS",
+        "optimal-discriminator-recovery": "PASS", "probe-gradient-check": "FAIL"})
 
 
 def test_attack_reports_every_baseline(tmp_path):

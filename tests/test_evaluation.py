@@ -2,7 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -104,6 +104,13 @@ class TestAttackConfig:
     def test_iterations_must_be_at_least_one(self):
         with pytest.raises(ValueError, match="iterations"):
             AttackConfig(iterations=0)
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed"):
+            AttackConfig(seed=-1)
+
+    def test_only_the_budget_and_the_seed_are_settable(self):
+        assert [f.name for f in fields(AttackConfig)] == ["iterations", "seed"]
 
 
 def test_the_probe_is_one_fixed_instrument(monkeypatch):

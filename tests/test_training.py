@@ -437,7 +437,7 @@ class TestGraphNodesPerStep:
 
 @pytest.mark.parametrize("ablation", ["full", "no_collaborative", "msednet"])
 def test_objective_gradients_match_central_differences(ablation):
-    # the bundle `privsplit check` uses, which checks `full` alone
+    # the bundle `privsplit check` uses
     rng = np.random.default_rng(11)
     bundle = build_models(ModelConfig(input_width=2, feature_width=8, privacy_width=2,
                                       disc_hidden=6, perceptual_width=6, seed=12))
@@ -447,6 +447,18 @@ def test_objective_gradients_match_central_differences(ablation):
     err = grad_check(lambda: training.objective(x, bundle, config, noise)[0],
                      bundle.all_parameters(), eps=1e-5)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("ablation", training.ABLATIONS)
+def test_trained_parameters_are_the_ones_the_objective_reaches(ablation):
+    # so `privsplit check`, which grad-checks only these, misses no gradient train applies
+    bundle = build_models(ModelConfig(input_width=2, feature_width=8, privacy_width=2,
+                                      disc_hidden=6, perceptual_width=6, seed=12))
+    x = Tensor(np.random.default_rng(11).standard_normal((3, 2)))
+    config = TrainConfig(use_perceptual=True, ablation=ablation)
+    backward(training.objective(x, bundle, config, NoiseSpec(std=1.0, seed=13))[0])
+    reached = [p for p in bundle.all_parameters() if p.grad is not None]
+    assert [id(p) for p in training.trained_parameters(bundle, ablation)] == list(map(id, reached))
 
 
 def run_digest(bundle, history) -> str:
