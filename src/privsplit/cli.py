@@ -20,12 +20,14 @@ while an explicit ``[attack] seed`` still sets the attack's. The keys that
 are not fields are ``[data]`` ``kind``, ``source_dir``, ``size``,
 ``class_count`` and ``per_class``; ``[attack]`` ``methods``,
 ``model_checkpoint``, ``msednet_checkpoint`` and the image baselines' keys,
-which :data:`BASELINES` holds with their defaults; ``[sweep]``
-``proportions``; and ``[plot]`` ``points_per_cluster``. ``[data] kind`` is
-``toy`` (the default, and ``train-toy``'s) or ``tiny`` (``train-image``'s).
-Only ``toy`` reads ``cluster_count``, ``points_per_cluster``,
-``center_box`` and ``cluster_std``; only ``tiny`` reads ``source_dir``,
-``size``, ``class_count`` and ``per_class``; a key or ``kind`` a run would
+which :data:`BASELINES` holds with their defaults; and ``[sweep]``
+``proportions``. ``[data] kind`` is ``toy`` (the default, and
+``train-toy``'s) or ``tiny`` (``train-image``'s). Only ``toy`` reads
+``cluster_count`` and ``points_per_cluster``; only ``tiny`` reads
+``source_dir``, ``size``, ``class_count`` and ``per_class``. A
+``source_dir`` folder holds one subdirectory of pixmaps per class, so the
+folder fixes the class count and the samples per class, and no run with
+one reads ``class_count`` or ``per_class``. A key or ``kind`` a run would
 ignore exits 2. A sweep trains each proportion for ``[train] iterations`` and
 attacks it as ``attack`` does, so ``sweep.csv`` has ``report.csv``'s
 columns and one ``Ours(<proportion>)`` row per proportion.
@@ -132,7 +134,6 @@ _EXTRA_KEYS = {
     "attack": {"methods", "model_checkpoint", "msednet_checkpoint",
                *(key for _, key, _, _ in BASELINES.values())},
     "sweep": {"proportions"},
-    "plot": {"points_per_cluster"},
 }
 _SECTION_CONFIGS = {"data": ClusterSpec, "train": TrainConfig, "attack": AttackConfig}
 _INI_NAMES = {"lam": "lambda"}
@@ -140,6 +141,8 @@ _TINY_KEYS = {"source_dir": str, "size": int, "class_count": int, "per_class": i
 # the [data] keys that only the other kind of set reads, so a run of this kind rejects them
 _FOREIGN_KEYS = {"toy": set(_TINY_KEYS) - {"seed"},
                  "tiny": {f.name for f in fields(ClusterSpec)} - {"seed"}}
+# the [data] keys a source_dir folder fixes itself, so a run with one rejects them
+_FOLDER_KEYS = {"class_count", "per_class"}
 
 
 def _ini_fields(cls) -> list:
@@ -258,6 +261,10 @@ def dataset_from(config: dict, seed: int, kind: str | None = None) -> LabeledDat
     foreign = sorted(_FOREIGN_KEYS[kind] & data.keys())
     if foreign:
         raise usage_error(f"data.kind = {kind} does not read [data] {', '.join(foreign)}")
+    fixed = sorted(_FOLDER_KEYS & data.keys()) if "source_dir" in data else []
+    if fixed:
+        raise usage_error(f"a data.source_dir folder fixes its classes, so it does not read "
+                          f"[data] {', '.join(fixed)}")
     if kind == "toy":
         return gen_toy_clusters(_from_section(ClusterSpec, config, "data", seed=seed))
     tiny = {key: _get(config, "data", key, None, convert)
@@ -370,13 +377,16 @@ def _optimal_discriminator_recovery_gap(seed: int, support: int = 8,
 # training commands
 
 
-def _toy_snapshot_indices(dataset: LabeledDataset, per_cluster: int,
-                          seed: int) -> np.ndarray:
+# points per cluster in train-toy's scatter panel
+_TOY_PANEL_POINTS_PER_CLUSTER = 200
+
+
+def _toy_snapshot_indices(dataset: LabeledDataset, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     picks = []
     for c in range(dataset.class_count):
         members = np.flatnonzero(dataset.labels == c)
-        take = min(per_cluster, members.size)
+        take = min(_TOY_PANEL_POINTS_PER_CLUSTER, members.size)
         picks.append(rng.choice(members, size=take, replace=False))
     return np.sort(np.concatenate(picks))
 
@@ -404,12 +414,9 @@ def cmd_train_toy(args, config: dict, seed: int) -> int:
                          f"raise [data] cluster_count or points_per_cluster")
     tcfg = train_config_from(config, seed, dataset)
     acfg = attack_config_from(config, seed)
-    plot_n = _get(config, "plot", "points_per_cluster", 200, int)
-    if plot_n < 0:
-        raise ValueError(f"plot.points_per_cluster must be non-negative, got {plot_n}")
     write_run_files(args.out, args.command, config, seed)
 
-    idx = _toy_snapshot_indices(dataset, plot_n, seed)
+    idx = _toy_snapshot_indices(dataset, seed)
     plot_x = Tensor(dataset.features[idx])
     plot_labels = dataset.labels[idx]
     panel_noise = NoiseSpec(std=tcfg.noise_std, seed=seed + 104729)
@@ -622,6 +629,8 @@ def cmd_report(args, config: dict, seed: int) -> int:
                 rows = [row for row in csv.reader(fh) if row]  # a blank line is no row
         except UnicodeDecodeError as exc:
             raise CliError(f"{path} is not an ASCII run file", 1) from exc
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise CliError(f"{path} is not a readable CSV run file: {exc}", 1) from exc
         print(f"== {path.name} ({len(rows[1:])} rows)")
         if path.name == "history.csv" and len(rows) > 1:
             header, first, last = rows[0], rows[1], rows[-1]

