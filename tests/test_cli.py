@@ -643,6 +643,17 @@ def test_dataset_from_rejects_the_keys_a_folder_fixes(pixmap_folders, keys):
     assert excinfo.value.exit_code == 2
 
 
+@pytest.mark.parametrize("points_per_cluster, taken", [(500, 200), (20, 20)],
+                         ids=["capped", "every-point"])
+def test_the_toy_panel_takes_200_points_of_each_cluster(points_per_cluster, taken):
+    dataset = gen_toy_clusters(ClusterSpec(cluster_count=3, points_per_cluster=points_per_cluster,
+                                           seed=2))
+    idx = cli._toy_snapshot_indices(dataset, seed=2)
+    assert np.array_equal(idx, np.unique(idx))
+    assert np.array_equal(np.bincount(dataset.labels[idx]), [taken] * 3)
+    assert np.array_equal(idx, cli._toy_snapshot_indices(dataset, seed=2))
+
+
 def test_dataset_from_reads_the_fixed_kind_when_the_file_names_none():
     dataset = cli.dataset_from({"data": {"per_class": "20", "size": "8"}}, seed=5, kind="tiny")
     expected = make_tiny_image_dataset(size=8, per_class=20, seed=5)

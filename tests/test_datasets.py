@@ -1,9 +1,12 @@
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from privsplit.datasets import (
+    TOY_CENTER_BOX,
+    TOY_CLUSTER_STD,
     ClusterSpec,
     LabeledDataset,
     features_to_pixels,
@@ -31,6 +34,14 @@ class TestClusterSpec:
     def test_one_cluster_names_the_count(self):
         with pytest.raises(ValueError, match="^need at least 2 clusters, got 1$"):
             ClusterSpec(cluster_count=1)
+
+    def test_only_the_count_the_points_and_the_seed_are_set(self):
+        # the geometry is fixed, so a spec cannot carry a centre box or a spread
+        assert [f.name for f in fields(ClusterSpec)] == ["cluster_count", "points_per_cluster",
+                                                         "seed"]
+        for name in ("center_box", "cluster_std"):
+            with pytest.raises(TypeError, match=name):
+                ClusterSpec(**{name: 1.0})
 
 
 class TestGenToyClusters:
@@ -71,6 +82,19 @@ class TestGenToyClusters:
         for c in range(ds.class_count):
             sample_mean = ds.features[ds.labels == c].mean(axis=0)
             assert np.all(np.abs(sample_mean - centers[c]) < 3.0 * std / np.sqrt(n))
+
+    def test_the_geometry_is_the_fixed_box_and_spread(self):
+        spec = ClusterSpec(cluster_count=4, points_per_cluster=30, seed=6)
+        ds = gen_toy_clusters(spec)
+        rng = np.random.default_rng(spec.seed)
+        raw_centers = rng.uniform(-TOY_CENTER_BOX, TOY_CENTER_BOX, size=(4, 2))
+        raw_points = np.concatenate([c + TOY_CLUSTER_STD * rng.standard_normal((30, 2))
+                                     for c in raw_centers])
+        assert np.all(np.abs(raw_centers) <= TOY_CENTER_BOX)
+        assert np.array_equal(ds.meta["mean"], raw_points.mean(axis=0))
+        assert np.array_equal(ds.meta["centers"],
+                              (raw_centers - ds.meta["mean"]) / ds.meta["scale"])
+        assert ds.meta["cluster_std"] == TOY_CLUSTER_STD / ds.meta["scale"]
 
     def test_normalization_round_trip(self):
         ds = gen_toy_clusters(ClusterSpec(seed=5, points_per_cluster=50))
