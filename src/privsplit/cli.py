@@ -7,30 +7,30 @@ key=value pairs, read literally: no ``%`` interpolation and no
 run writes the resolved config plus a metadata sidecar (the only place a
 timestamp appears) next to its outputs.
 
-The keys of ``[data]``, ``[train]`` and ``[attack]`` are the field names of
-:class:`~privsplit.datasets.ClusterSpec`, :class:`~privsplit.training.TrainConfig`
-and :class:`~privsplit.evaluation.AttackConfig`, whose defaults are the only
+The keys of ``[train]`` and ``[attack]`` are the field names of
+:class:`~privsplit.training.TrainConfig` and
+:class:`~privsplit.evaluation.AttackConfig`, whose defaults are the only
 ones but two: ``TrainConfig.input_width`` comes from the data, and
-``use_perceptual`` defaults on for ``tiny`` data and off for ``toy`` data;
+``use_perceptual`` defaults on for image data and off for ``toy`` data;
 ``lam`` is spelled ``lambda``. The seeds default to the run seed (the
 attack's to run seed + 1). The run seed is ``--seed``, else ``[train]
-seed``, else ``[data] seed``, else 0, so the train seed is the run seed;
-no environment variable sets it. ``--seed`` replaces both file seeds,
-while an explicit ``[attack] seed`` still sets the attack's. The keys that
-are not fields are ``[data]`` ``kind``, ``source_dir``, ``size``,
-``class_count`` and ``per_class``; ``[attack]`` ``methods``,
-``model_checkpoint``, ``msednet_checkpoint`` and the image baselines' keys,
-which :data:`BASELINES` holds with their defaults; and ``[sweep]``
-``proportions``. ``[data] kind`` is ``toy`` (the default, and
-``train-toy``'s) or ``tiny`` (``train-image``'s). Only ``toy`` reads
-``cluster_count`` and ``points_per_cluster``; only ``tiny`` reads
-``source_dir``, ``size``, ``class_count`` and ``per_class``. A
-``source_dir`` folder holds one subdirectory of pixmaps per class, so the
-folder fixes the class count and the samples per class, and no run with
-one reads ``class_count`` or ``per_class``. A key or ``kind`` a run would
-ignore exits 2. A sweep trains each proportion for ``[train] iterations`` and
-attacks it as ``attack`` does, so ``sweep.csv`` has ``report.csv``'s
-columns and one ``Ours(<proportion>)`` row per proportion.
+seed``, else ``[data] seed``, else 0, so the train seed is the run seed; no
+environment variable sets it. ``--seed`` replaces both file seeds, while an
+explicit ``[attack] seed`` still sets the attack's. The keys that are not
+fields are ``[attack]`` ``methods``, ``model_checkpoint``,
+``msednet_checkpoint`` and the image baselines' keys, which
+:data:`BASELINES` holds with their defaults; and ``[sweep]``
+``proportions``. ``[data]`` has three sources (:data:`DATA_SOURCES`), each
+reading ``seed`` and its builder's keys: ``kind = toy`` (the default, and
+``train-toy``'s) reads ``cluster_count`` and ``points_per_cluster``;
+``kind = tiny`` (``train-image``'s) draws gratings from ``size``,
+``class_count`` and ``per_class``; and a ``tiny`` config that sets
+``source_dir`` loads that folder, one subdirectory of pixmaps per class, so
+the folder fixes its classes, its samples per class and its image size. Any
+other ``[data]`` key, or a ``kind`` the command does not train on, exits 2.
+A sweep trains each proportion for ``[train] iterations`` and attacks it as
+``attack`` does, so ``sweep.csv`` has ``report.csv``'s columns and one
+``Ours(<proportion>)`` row per proportion.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage error, 3 I/O error,
 141 (128 + SIGPIPE) when the reader of stdout closed it early, as in
@@ -58,6 +58,7 @@ from .datasets import (
     LabeledDataset,
     features_to_pixels,
     gen_toy_clusters,
+    load_image_folder,
     make_tiny_image_dataset,
     pixels_to_features,
 )
@@ -127,22 +128,37 @@ def usage_error(message: str) -> CliError:
 # ---------------------------------------------------------------------------
 # config handling
 
+
+def _bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+_CONVERTERS = {"int": int, "float": float, "bool": _bool, "str": str, "Fraction": Fraction}
+# Each [data] source -> (its builder, {each [data] key it reads: converter}). The
+# source is data.kind, but a tiny config that sets source_dir is the folder source.
+DATA_SOURCES = {
+    "toy": (lambda **keys: gen_toy_clusters(ClusterSpec(**keys)),
+            {f.name: _CONVERTERS[f.type] for f in fields(ClusterSpec)}),
+    "tiny": (make_tiny_image_dataset,
+             {"size": int, "class_count": int, "per_class": int, "seed": int}),
+    "folder": (load_image_folder, {"source_dir": str, "seed": int}),
+}
+
 # INI keys that are not config fields (see the module docstring)
 _EXTRA_KEYS = {
-    "data": {"kind", "source_dir", "size", "class_count", "per_class"},
+    "data": {"kind", *(key for _, keys in DATA_SOURCES.values() for key in keys)},
     "train": set(),
     "attack": {"methods", "model_checkpoint", "msednet_checkpoint",
                *(key for _, key, _, _ in BASELINES.values())},
     "sweep": {"proportions"},
 }
-_SECTION_CONFIGS = {"data": ClusterSpec, "train": TrainConfig, "attack": AttackConfig}
+_SECTION_CONFIGS = {"train": TrainConfig, "attack": AttackConfig}
 _INI_NAMES = {"lam": "lambda"}
-_TINY_KEYS = {"source_dir": str, "size": int, "class_count": int, "per_class": int, "seed": int}
-# the [data] keys that only the other kind of set reads, so a run of this kind rejects them
-_FOREIGN_KEYS = {"toy": set(_TINY_KEYS) - {"seed"},
-                 "tiny": {f.name for f in fields(ClusterSpec)} - {"seed"}}
-# the [data] keys a source_dir folder fixes itself, so a run with one rejects them
-_FOLDER_KEYS = {"class_count", "per_class"}
 
 
 def _ini_fields(cls) -> list:
@@ -188,15 +204,6 @@ def _get(config, section, key, default, convert):
         raise usage_error(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
 
 
-def _bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _seed(raw) -> int:
     seed = int(raw)
     if seed < 0:
@@ -221,9 +228,6 @@ def resolve_seed(flag_seed, config: dict) -> int:
     return next((value for value in file_seeds if value is not None), 0)
 
 
-_CONVERTERS = {"int": int, "float": float, "bool": _bool, "str": str, "Fraction": Fraction}
-
-
 def _with_run_seed(config: dict, seed: int) -> dict:
     """`config` with `seed` in place of every run-seed key it has, so --seed wins over the file."""
     return {section: {**values, "seed": str(seed)}
@@ -242,7 +246,7 @@ def _from_section(cls, config: dict, section: str, **defaults):
 def train_config_from(config: dict, seed: int, dataset: LabeledDataset) -> TrainConfig:
     """`[train]` for `dataset`: its width, and the perceptual term on by default for images."""
     return _from_section(TrainConfig, config, "train", seed=seed, input_width=dataset.width,
-                         use_perceptual=dataset.meta.get("kind") == "tiny-images")
+                         use_perceptual=dataset.images is not None)
 
 
 def attack_config_from(config: dict, seed: int) -> AttackConfig:
@@ -255,21 +259,15 @@ def dataset_from(config: dict, seed: int, kind: str | None = None) -> LabeledDat
     file_kind = _get(config, "data", "kind", kind or "toy", str)
     if kind is not None and file_kind != kind:
         raise usage_error(f"this command needs data.kind = {kind}, got {file_kind!r}")
-    kind = file_kind
-    if kind not in _FOREIGN_KEYS:
-        raise usage_error(f"data.kind must be toy or tiny, got {kind!r}")
-    foreign = sorted(_FOREIGN_KEYS[kind] & data.keys())
+    if file_kind not in ("toy", "tiny"):
+        raise usage_error(f"data.kind must be toy or tiny, got {file_kind!r}")
+    source = "folder" if file_kind == "tiny" and "source_dir" in data else file_kind
+    build, keys = DATA_SOURCES[source]
+    foreign = sorted(data.keys() - keys.keys() - {"kind"})
     if foreign:
-        raise usage_error(f"data.kind = {kind} does not read [data] {', '.join(foreign)}")
-    fixed = sorted(_FOLDER_KEYS & data.keys()) if "source_dir" in data else []
-    if fixed:
-        raise usage_error(f"a data.source_dir folder fixes its classes, so it does not read "
-                          f"[data] {', '.join(fixed)}")
-    if kind == "toy":
-        return gen_toy_clusters(_from_section(ClusterSpec, config, "data", seed=seed))
-    tiny = {key: _get(config, "data", key, None, convert)
-            for key, convert in _TINY_KEYS.items() if key in data}
-    return make_tiny_image_dataset(**{"seed": seed, **tiny})
+        raise usage_error(f"the {source} data source does not read [data] {', '.join(foreign)}")
+    return build(**{"seed": seed, **{key: _get(config, "data", key, None, convert)
+                                     for key, convert in keys.items() if key in data}})
 
 
 def write_run_files(outdir: Path, command: str, config: dict, seed: int) -> None:
@@ -475,6 +473,9 @@ def _image_like(img: Image, features: np.ndarray) -> Image:
 
 
 def cmd_obfuscate(args, config: dict, seed: int) -> int:
+    foreign = sorted({flag for flag, method in args.given if method != args.method})
+    if foreign:
+        raise usage_error(f"--method {args.method} does not read {', '.join(foreign)}")
     if args.method == "model" and not args.checkpoint:
         raise usage_error("--checkpoint is required for method=model")
     img = load_pixmap(args.input)
@@ -519,10 +520,9 @@ def _image_space_method(name, key, dataset, transform) -> ObfuscationMethod:
     It is tried on one blank image first, so a bad `[attack] key` value
     fails the command before anything is written, not as a NaN row.
     """
-    meta = dataset.meta
-    if meta.get("kind") != "tiny-images":
+    if dataset.images is None:
         raise usage_error(f"method {name} needs image data (data.kind = tiny)")
-    shape = (-1, meta["size"], meta["size"], meta["channels"])
+    shape = (-1, *dataset.images[0].pixels.shape)
     try:
         transform(np.zeros((1, *shape[1:]), dtype=np.uint8))
     except ValueError as exc:
@@ -646,6 +646,15 @@ def cmd_report(args, config: dict, seed: int) -> int:
 # argument parsing
 
 
+class _MethodFlag(argparse.Action):
+    """An `obfuscate` flag that only `--method <const>` reads: it stores its value
+    and joins `args.given`, so that another method can reject it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, (option_string, self.const))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privsplit",
@@ -668,17 +677,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, required=True, help="output directory")
 
     p = sub.add_parser("obfuscate", help="obfuscate one pixmap image")
-    p.set_defaults(handler=cmd_obfuscate)
+    p.set_defaults(handler=cmd_obfuscate, given=())  # (flag, its method) for each flag given
     p.add_argument("--method", choices=(*BASELINES, "model"), required=True)
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--output", type=Path, required=True)
     for name, (_, key, default, _) in BASELINES.items():
         p.add_argument(f"--{key.removeprefix(name + '_')}", type=int, default=default,
-                       help=f"as [attack] {key}")
-    p.add_argument("--checkpoint", type=Path, default=None)
-    p.add_argument("--secret-out", type=Path, default=None)
-    p.add_argument("--recon-out", type=Path, default=None)
-    p.add_argument("--noise-std", type=float, default=TrainConfig.noise_std)
+                       action=_MethodFlag, const=name, help=f"as [attack] {key}")
+    p.add_argument("--checkpoint", type=Path, action=_MethodFlag, const="model")
+    p.add_argument("--secret-out", type=Path, action=_MethodFlag, const="p3")
+    p.add_argument("--recon-out", type=Path, action=_MethodFlag, const="model")
+    p.add_argument("--noise-std", type=float, default=TrainConfig.noise_std,
+                   action=_MethodFlag, const="model")
 
     p = sub.add_parser("report", help="summarize a run directory")
     p.set_defaults(handler=cmd_report)

@@ -1,4 +1,4 @@
-"""Synthetic datasets: 2-D Gaussian clusters and tiny labeled images.
+"""Labeled datasets, one builder per source: 2-D clusters, gratings, image folders.
 
 The toy clusters mirror the ten-blob setup used for the 2-D pipeline. Their
 geometry is fixed, so that toy numbers compare across runs: the centres are
@@ -6,9 +6,9 @@ drawn uniformly from the square [-TOY_CENTER_BOX, TOY_CENTER_BOX]^2, each
 point is its centre plus Gaussian noise of standard deviation
 TOY_CLUSTER_STD, and then the whole set is normalized. Only the cluster
 count, the points per cluster and the seed are set. The tiny-image generator
-synthesizes class-distinct 32x32 gratings (orientation plus a
-class-correlated brightness offset) as a desk-scale stand-in for a labeled
-image corpus.
+synthesizes class-distinct gratings (orientation plus a class-correlated
+brightness offset) as a desk-scale stand-in for a labeled image corpus. A
+folder of pixmaps fixes its classes, samples per class and image size.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ def gen_toy_clusters(spec: ClusterSpec) -> LabeledDataset:
         train_idx=train_idx,
         heldout_idx=heldout_idx,
         meta={
-            "kind": "toy-clusters",
             "mean": mean,
             "scale": float(scale),
             "centers": (centers - mean) / scale,
@@ -145,61 +144,47 @@ def _grating_image(rng: np.random.Generator, size: int, theta: float,
     return Image.from_array(to_u8((np.clip(value, -1.0, 1.0) + 1.0) * 127.5))
 
 
-def make_tiny_image_dataset(source_dir=None, size: int = 32, class_count: int = 10,
-                            per_class: int = 80, seed: int = 0) -> LabeledDataset:
-    """Flattened [-1, 1] image features with labels and the images themselves.
-
-    Without a source directory, synthesizes per-class oriented gratings with
-    a class-correlated brightness offset. With one, each subdirectory is a
-    class of same-sized pixmaps (at least 20 per class).
-    """
+def make_tiny_image_dataset(size: int = 32, class_count: int = 10, per_class: int = 80,
+                            seed: int = 0) -> LabeledDataset:
+    """`per_class` size x size grey gratings per class, each class its own angle and brightness."""
     if size < 1:
         raise ValueError(f"image size must be at least 1, got {size}")
-    if source_dir is None and class_count < 2:
+    if class_count < 2:
         raise ValueError(f"need at least 2 classes, got {class_count}")
+    if per_class < 20:
+        raise ValueError(f"need at least 20 samples per class, got {per_class}")
     rng = np.random.default_rng(seed)
-    if source_dir is None:
-        brightnesses = np.linspace(-0.45, 0.45, class_count)
-        images: list[Image] = []
-        labels = []
-        for c in range(class_count):
-            theta = np.pi * c / class_count
-            for _ in range(per_class):
-                images.append(_grating_image(rng, size, theta, brightnesses[c]))
-                labels.append(c)
-    else:
-        class_dirs = sorted(p for p in Path(source_dir).iterdir() if p.is_dir())
-        if len(class_dirs) < 2:
-            raise ValueError(f"need at least 2 class directories under {source_dir}")
-        images, labels = [], []
-        first = None  # (path, channels) of the first pixmap; every other must match
-        for c, cdir in enumerate(class_dirs):
-            files = sorted(cdir.glob("*.p[gp]m"))
-            if len(files) < 20:
-                raise ValueError(f"class {cdir.name} has {len(files)} samples, need >= 20")
-            for f in files:
-                img = load_pixmap(f)
-                if (img.height, img.width) != (size, size):
-                    raise ValueError(f"{f} is {img.width}x{img.height}, expected {size}x{size}")
-                if first is None:
-                    first = f, img.channels
-                elif img.channels != first[1]:
-                    raise ValueError(f"{f} has {img.channels} channel(s), but {first[0]} has "
-                                     f"{first[1]}; a class set needs one channel count")
-                images.append(img)
-                labels.append(c)
-        class_count = len(class_dirs)
-    if len(images) < 20 * class_count:
-        raise ValueError("need at least 20 samples per class")
-    labels_arr = np.asarray(labels)
+    brightnesses = np.linspace(-0.45, 0.45, class_count)
+    images = [_grating_image(rng, size, np.pi * c / class_count, brightnesses[c])
+              for c in range(class_count) for _ in range(per_class)]
+    return _image_dataset(images, np.repeat(np.arange(class_count), per_class), class_count, rng)
+
+
+def load_image_folder(source_dir, seed: int = 0) -> LabeledDataset:
+    """One class per subdirectory of `source_dir`, each of at least 20 pixmaps. The
+    images must be square, and the first pixmap fixes their size and channel count."""
+    class_dirs = sorted(p for p in Path(source_dir).iterdir() if p.is_dir())
+    if len(class_dirs) < 2:
+        raise ValueError(f"need at least 2 class directories under {source_dir}")
+    images, labels, first = [], [], None
+    for c, cdir in enumerate(class_dirs):
+        files = sorted(cdir.glob("*.p[gp]m"))
+        if len(files) < 20:
+            raise ValueError(f"class {cdir.name} has {len(files)} samples, need >= 20")
+        for f in files:
+            img = load_pixmap(f)
+            first = first or (f, img)
+            if img.pixels.shape != (first[1].width, first[1].width, first[1].channels):
+                raise ValueError(f"{f} is {img.width}x{img.height} in {img.channels} channel(s), "
+                                 f"but the images must be square and match {first[0]}")
+            images.append(img)
+            labels.append(c)
+    return _image_dataset(images, labels, len(class_dirs), np.random.default_rng(seed))
+
+
+def _image_dataset(images: list[Image], labels, class_count: int,
+                   rng: np.random.Generator) -> LabeledDataset:
+    """Flattened [-1, 1] features of same-shaped `images`, split by `rng`."""
     features = pixels_to_features(np.stack([img.pixels.reshape(-1) for img in images]))
-    train_idx, heldout_idx = _split_indices(len(images), rng)
-    return LabeledDataset(
-        features=features,
-        labels=labels_arr,
-        class_count=class_count,
-        train_idx=train_idx,
-        heldout_idx=heldout_idx,
-        images=images,
-        meta={"kind": "tiny-images", "size": size, "channels": images[0].channels},
-    )
+    return LabeledDataset(features, labels, class_count, *_split_indices(len(images), rng),
+                          images=images)

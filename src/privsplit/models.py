@@ -15,6 +15,8 @@ At inference :func:`reconstruct` decodes the encoder output as it is, and
 split-and-merge chain that training runs, without copying the two parts.
 That holds with a recorded graph too, because the encoder's last layer is
 linear, and a linear :func:`dense` node's backward never reads its output.
+Both are bitwise reproducible only at a fixed row count, because the BLAS
+kernel a matrix product takes can vary with the number of rows n.
 """
 
 from __future__ import annotations

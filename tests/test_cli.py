@@ -2,6 +2,7 @@ import argparse
 import csv
 import errno
 import hashlib
+import inspect
 import json
 import os
 import struct
@@ -21,6 +22,7 @@ from privsplit.datasets import (
     ClusterSpec,
     features_to_pixels,
     gen_toy_clusters,
+    load_image_folder,
     make_tiny_image_dataset,
     pixels_to_features,
 )
@@ -293,6 +295,29 @@ def test_obfuscate_p3_threshold_beyond_u16_exits_1_and_writes_nothing(tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pgm"]
 
 
+# each obfuscate flag that only one method reads: that method and a valid value
+METHOD_FLAGS = {"--factor": ("pixelate", "3"), "--radius": ("blur", "3"),
+                "--threshold": ("p3", "2"), "--secret-out": ("p3", "s.bin"),
+                "--checkpoint": ("model", "c.npz"), "--noise-std": ("model", "0.5"),
+                "--recon-out": ("model", "r.pgm")}
+
+
+@pytest.mark.parametrize("method, flags", [
+    (method, [flag]) for method in (*cli.BASELINES, "model")
+    for flag, (owner, _) in METHOD_FLAGS.items() if owner != method
+] + [("p3", ["--factor", "--recon-out"])])
+def test_obfuscate_flag_of_another_method_exits_2_before_reading_the_input(
+        tmp_path, monkeypatch, capsys, method, flags):
+    monkeypatch.chdir(tmp_path)  # the flags' relative paths would land here
+    argv = ["obfuscate", "--method", method, "--input", "missing.pgm", "--output", "out.pgm"]
+    for flag in flags:
+        argv += [flag, METHOD_FLAGS[flag][1]]
+    assert cli.main(argv) == 2  # a read of the missing input would exit 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --method {method} does not read {', '.join(flags)}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_attack_p3_threshold_beyond_u16_exits_1_and_writes_nothing(tmp_path, capsys):
     config = tmp_path / "attack.ini"
     config.write_text("[data]\nkind = tiny\nper_class = 20\n\n"
@@ -535,14 +560,16 @@ def run_with_config(tmp_path, text, command="train-toy"):
     ("train-toy", "[attack]\nbatch_size = 0\n", "error: unknown key 'batch_size' in section [attack]"),
     ("train-toy", "[attack]\nalpha = nan\n", "error: unknown key 'alpha' in section [attack]"),
     ("train-toy", "[data]\nper_class = 5\nsize = 8\n",
-     "error: data.kind = toy does not read [data] per_class, size"),
+     "error: the toy data source does not read [data] per_class, size"),
     ("train-toy", "[data]\nkind = tiny\n", "error: this command needs data.kind = toy, got 'tiny'"),
     ("train-image", "[data]\nkind = toy\ncluster_count = 3\n",
      "error: this command needs data.kind = tiny, got 'toy'"),
     ("train-image", "[data]\ncluster_count = 3\n",
-     "error: data.kind = tiny does not read [data] cluster_count"),
+     "error: the tiny data source does not read [data] cluster_count"),
     ("attack", "[data]\nkind = tiny\ncluster_count = 3\n",
-     "error: data.kind = tiny does not read [data] cluster_count"),
+     "error: the tiny data source does not read [data] cluster_count"),
+    ("train-image", "[data]\nsource_dir = never-read\nsize = 8\n",
+     "error: the folder data source does not read [data] size"),
     ("train-toy", "[data]\ncenter_box = 4.0\n", "error: unknown key 'center_box' in section [data]"),
     ("train-toy", "[data]\ncluster_std = 0.25\n",
      "error: unknown key 'cluster_std' in section [data]"),
@@ -550,7 +577,8 @@ def run_with_config(tmp_path, text, command="train-toy"):
 ], ids=["percent", "not-utf8", "default-section", "sweep-iterations", "sweep-zero-denominator",
         "sweep-not-a-fraction", "beta1", "beta2", "epsilon", "attack-hidden-width",
         "attack-batch-size", "attack-alpha", "toy-with-tiny-keys", "toy-told-tiny",
-        "image-told-toy", "image-with-toy-key", "attack-tiny-with-toy-key", "center-box",
+        "image-told-toy", "image-with-toy-key", "attack-tiny-with-toy-key", "folder-with-size",
+        "center-box",
         "cluster-std", "plot-section"])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, command, text, message):
     assert run_with_config(tmp_path, text, command) == 2
@@ -606,17 +634,6 @@ def test_invalid_run_config_exits_1_before_writing_anything(tmp_path, capsys, co
     assert not (tmp_path / "run").exists()  # so no resolved.ini or run_meta.json
 
 
-@pytest.mark.parametrize("kind, key", [
-    ("toy", "source_dir"), ("toy", "size"), ("toy", "class_count"), ("toy", "per_class"),
-    ("tiny", "cluster_count"), ("tiny", "points_per_cluster"),
-])
-def test_dataset_from_rejects_each_key_only_the_other_kind_reads(kind, key):
-    with pytest.raises(cli.CliError, match=f"^data.kind = {kind} does not read "
-                                           f"\\[data\\] {key}$") as excinfo:
-        cli.dataset_from({"data": {"kind": kind, key: "3"}}, seed=0)
-    assert excinfo.value.exit_code == 2
-
-
 @pytest.fixture(scope="module")
 def pixmap_folders(tmp_path_factory):
     """Two `source_dir` folders of 8x8 pixmaps: 3 classes of 20 as ``folder``, 2 as ``other``."""
@@ -632,13 +649,31 @@ def pixmap_folders(tmp_path_factory):
     return folders
 
 
-@pytest.mark.parametrize("keys", [{"class_count": "7"}, {"per_class": "999"},
-                                  {"class_count": "7", "per_class": "999"}],
-                         ids=["class_count", "per_class", "both"])
-def test_dataset_from_rejects_the_keys_a_folder_fixes(pixmap_folders, keys):
-    data = {"kind": "tiny", "source_dir": pixmap_folders["folder"], "size": "8", **keys}
-    with pytest.raises(cli.CliError, match="^a data.source_dir folder fixes its classes, so it "
-                                           f"does not read \\[data\\] {', '.join(keys)}$") as excinfo:
+def test_each_data_source_reads_exactly_its_builders_parameters():
+    # a builder parameter the table does not list would be a setting no INI can reach
+    assert {source: set(keys) for source, (_, keys) in cli.DATA_SOURCES.items()} == {
+        "toy": {f.name for f in fields(ClusterSpec)},
+        "tiny": set(inspect.signature(make_tiny_image_dataset).parameters),
+        "folder": set(inspect.signature(load_image_folder).parameters)}
+    assert cli.DATA_SOURCES["tiny"][0] is make_tiny_image_dataset
+    assert cli.DATA_SOURCES["folder"][0] is load_image_folder
+
+
+# the [data] section that selects each source
+SOURCE_DATA = {"toy": {"kind": "toy"}, "tiny": {"kind": "tiny"},
+               "folder": {"kind": "tiny", "source_dir": "{folder}"}}
+
+
+@pytest.mark.parametrize("source, keys", [
+    (source, [key]) for source, (_, read) in cli.DATA_SOURCES.items()
+    for key in sorted(cli.KNOWN_KEYS["data"] - read.keys() - {"kind", "source_dir"})
+] + [("toy", ["source_dir"]), ("folder", ["class_count", "per_class"])])
+def test_dataset_from_rejects_each_key_its_source_does_not_read(pixmap_folders, source, keys):
+    # source_dir beside kind = tiny selects the folder source, so only toy rejects it
+    data = {**{k: v.format(**pixmap_folders) for k, v in SOURCE_DATA[source].items()},
+            **dict.fromkeys(keys, "3")}
+    with pytest.raises(cli.CliError, match=f"^the {source} data source does not read "
+                                           f"\\[data\\] {', '.join(keys)}$") as excinfo:
         cli.dataset_from({"data": data}, seed=0)
     assert excinfo.value.exit_code == 2
 
@@ -687,36 +722,35 @@ def built_dataset(tmp_path, monkeypatch, command, data):
     return None
 
 
-# Each [data] source: its kind, the command that builds it, a base [data]
-# section and, for each key the source accepts, a valid value other than the
-# base's or the default. "{folder}" and "{other}" name the pixmap folders.
-DATA_SOURCES = {
-    "toy": ("toy", "train-toy", {},
+# Each cli.DATA_SOURCES source: the command that builds it, a base [data]
+# section and, for each key the source reads and for kind, a valid value other
+# than the base's or the default. "{folder}" and "{other}" name the pixmap folders.
+SOURCE_RUNS = {
+    "toy": ("train-toy", {},
             {"kind": "tiny", "seed": "3", "cluster_count": "3", "points_per_cluster": "20"}),
-    "synthetic-tiny": ("tiny", "train-image", {"kind": "tiny", "per_class": "20", "size": "8"},
-                       {"kind": "toy", "seed": "3", "source_dir": "{folder}", "size": "6",
-                        "class_count": "3", "per_class": "21"}),
-    "folder": ("tiny", "train-image", {"kind": "tiny", "source_dir": "{folder}", "size": "8"},
-               {"kind": "toy", "seed": "3", "source_dir": "{other}", "size": "6",
-                "class_count": "7", "per_class": "999"}),
+    "tiny": ("train-image", {"kind": "tiny", "per_class": "20", "size": "8"},
+             {"kind": "toy", "seed": "3", "size": "6", "class_count": "3", "per_class": "21"}),
+    "folder": ("train-image", {"kind": "tiny", "source_dir": "{folder}"},
+               {"kind": "toy", "seed": "3", "source_dir": "{other}"}),
 }
 
 
 @pytest.mark.parametrize("source, key", [
-    (source, key) for source, (kind, *_) in DATA_SOURCES.items()
-    for key in sorted(cli.KNOWN_KEYS["data"] - cli._FOREIGN_KEYS[kind])])
+    (source, key) for source in cli.DATA_SOURCES for key in sorted(cli.KNOWN_KEYS["data"])])
 def test_no_data_key_is_silently_ignored(tmp_path, monkeypatch, pixmap_folders, source, key):
-    # a key the run accepts either changes the set it builds or stops the run
-    _, command, base, others = DATA_SOURCES[source]
+    # a key the source reads changes the set it builds; any other [data] key stops the run
+    command, base, others = SOURCE_RUNS[source]
 
     def built(name, data):
         data = {k: v.format(**pixmap_folders) for k, v in data.items()}
         return built_dataset(tmp_path / name, monkeypatch, command, data)
 
-    before, after = built("base", base), built("changed", {**base, key: others[key]})
-    if after is not None:
+    before, after = built("base", base), built("changed", {**base, key: others.get(key, "3")})
+    if key in cli.DATA_SOURCES[source][1]:
         assert not all(np.array_equal(getattr(before, name), getattr(after, name))
                        for name in ("features", "labels", "train_idx", "heldout_idx"))
+    else:
+        assert after is None
 
 
 def test_percent_in_a_value_round_trips_through_resolved_ini(tmp_path):

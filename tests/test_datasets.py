@@ -1,9 +1,11 @@
 import hashlib
+import inspect
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from privsplit import datasets
 from privsplit.datasets import (
     TOY_CENTER_BOX,
     TOY_CLUSTER_STD,
@@ -11,6 +13,7 @@ from privsplit.datasets import (
     LabeledDataset,
     features_to_pixels,
     gen_toy_clusters,
+    load_image_folder,
     make_tiny_image_dataset,
     pixels_to_features,
 )
@@ -171,40 +174,63 @@ class TestTinyImages:
         ({"class_count": 0}, "need at least 2 classes, got 0"),
         ({"class_count": -1}, "need at least 2 classes, got -1"),
         ({"size": 0}, "image size must be at least 1, got 0"),
-        ({"size": -3, "source_dir": "."}, "image size must be at least 1, got -3"),
+        ({"size": -3}, "image size must be at least 1, got -3"),
+        ({"per_class": 19}, "need at least 20 samples per class, got 19"),
     ])
-    def test_bad_size_or_class_count_names_the_value(self, kwargs, message):
+    def test_bad_argument_names_the_value_before_any_image_is_drawn(self, monkeypatch, kwargs,
+                                                                     message):
+        drawn = []
+        monkeypatch.setattr(datasets, "_grating_image", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match=f"^{message}$"):
             make_tiny_image_dataset(**kwargs)
+        assert drawn == []
 
-    def test_directory_source(self, tmp_path):
-        base = make_tiny_image_dataset(class_count=2, per_class=20, seed=5, size=16)
-        for i, img in enumerate(base.images):
-            cdir = tmp_path / f"class{base.labels[i]}"
-            cdir.mkdir(exist_ok=True)
-            save_pixmap(img, cdir / f"{i:03d}.pgm")
-        ds = make_tiny_image_dataset(source_dir=tmp_path, size=16)
-        assert ds.class_count == 2
-        assert ds.size == 40
 
-    def test_directory_with_small_class_rejected(self, tmp_path):
+def write_folder(root, images, labels, suffix=".pgm"):
+    """One subdirectory per label under `root`, pixmap i named by its index."""
+    for i, (img, label) in enumerate(zip(images, labels)):
+        cdir = root / f"class{label}"
+        cdir.mkdir(parents=True, exist_ok=True)
+        save_pixmap(img, cdir / f"{i:03d}{suffix}")
+
+
+class TestImageFolder:
+    def test_reads_only_a_folder_and_a_seed(self):
+        # a folder fixes its classes, its samples per class and its image size
+        assert list(inspect.signature(load_image_folder).parameters) == ["source_dir", "seed"]
+
+    @pytest.mark.parametrize("size", [16, 8])
+    def test_the_pixmaps_fix_the_image_size(self, tmp_path, size):
+        base = make_tiny_image_dataset(class_count=2, per_class=20, seed=5, size=size)
+        write_folder(tmp_path, base.images, base.labels)
+        ds = load_image_folder(tmp_path, seed=3)
+        assert (ds.class_count, ds.size, ds.width) == (2, 40, size * size)
+        assert np.array_equal(ds.features, base.features)
+        assert ds.meta == {}
+
+    def test_small_class_rejected(self, tmp_path):
         base = make_tiny_image_dataset(class_count=2, per_class=20, seed=6, size=16)
-        for i in range(25):
-            cdir = tmp_path / f"class{i % 2}"
-            cdir.mkdir(exist_ok=True)
-            save_pixmap(base.images[i], cdir / f"{i:03d}.pgm")
+        write_folder(tmp_path, base.images[:25], np.arange(25) % 2)
         with pytest.raises(ValueError, match="need >= 20"):
-            make_tiny_image_dataset(source_dir=tmp_path, size=16)
+            load_image_folder(tmp_path)
 
-    def test_directory_mixing_grey_and_colour_names_the_file(self, tmp_path):
+    def test_non_square_pixmaps_rejected(self, tmp_path):
+        images = [Image.from_array(np.zeros((6, 8, 1), dtype=np.uint8))] * 40
+        write_folder(tmp_path, images, np.arange(40) // 20)
+        with pytest.raises(ValueError, match=r"class0/000\.pgm is 8x6 in 1 channel\(s\), but the "
+                                             r"images must be square and match .*class0/000\.pgm$"):
+            load_image_folder(tmp_path)
+
+    @pytest.mark.parametrize("odd, suffix, shape", [
+        (np.zeros((6, 16, 1), dtype=np.uint8), ".pgm", "16x6 in 1"),
+        (np.zeros((8, 8, 1), dtype=np.uint8), ".pgm", "8x8 in 1"),
+        (np.zeros((16, 16, 3), dtype=np.uint8), ".ppm", "16x16 in 3"),
+    ], ids=["non-square", "mixed-sizes", "mixed-channels"])
+    def test_a_pixmap_unlike_the_first_names_both_files(self, tmp_path, odd, suffix, shape):
         base = make_tiny_image_dataset(class_count=2, per_class=20, seed=7, size=16)
-        for i, img in enumerate(base.images):
-            cdir = tmp_path / f"class{base.labels[i]}"
-            cdir.mkdir(exist_ok=True)
-            if i == 5:  # one colour pixmap among the grey ones
-                save_pixmap(Image.from_array(np.repeat(img.pixels, 3, axis=2)),
-                            cdir / f"{i:03d}.ppm")
-            else:
-                save_pixmap(img, cdir / f"{i:03d}.pgm")
-        with pytest.raises(ValueError, match=r"005\.ppm has 3 channel\(s\), but .*000\.pgm has 1"):
-            make_tiny_image_dataset(source_dir=tmp_path, size=16)
+        write_folder(tmp_path, base.images, base.labels)
+        write_folder(tmp_path, [Image.from_array(odd)], [1], suffix)  # class1/000, after class0
+        with pytest.raises(ValueError, match=f"class1/000\\{suffix} is {shape} channel\\(s\\), "
+                                             r"but the images must be square and match "
+                                             r".*class0/000\.pgm$"):
+            load_image_folder(tmp_path)
