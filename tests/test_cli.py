@@ -659,9 +659,17 @@ def test_each_data_source_reads_exactly_its_builders_parameters():
     assert cli.DATA_SOURCES["folder"][0] is load_image_folder
 
 
-# the [data] section that selects each source
-SOURCE_DATA = {"toy": {"kind": "toy"}, "tiny": {"kind": "tiny"},
-               "folder": {"kind": "tiny", "source_dir": "{folder}"}}
+# Each cli.DATA_SOURCES source: the command that builds it, a base [data]
+# section and, for each key the source reads and for kind, a valid value other
+# than the base's or the default. "{folder}" and "{other}" name the pixmap folders.
+SOURCE_RUNS = {
+    "toy": ("train-toy", {},
+            {"kind": "tiny", "seed": "3", "cluster_count": "3", "points_per_cluster": "20"}),
+    "tiny": ("train-image", {"kind": "tiny", "per_class": "20", "size": "8"},
+             {"kind": "toy", "seed": "3", "size": "6", "class_count": "3", "per_class": "21"}),
+    "folder": ("train-image", {"kind": "tiny", "source_dir": "{folder}"},
+               {"kind": "toy", "seed": "3", "source_dir": "{other}"}),
+}
 
 
 @pytest.mark.parametrize("source, keys", [
@@ -670,7 +678,7 @@ SOURCE_DATA = {"toy": {"kind": "toy"}, "tiny": {"kind": "tiny"},
 ] + [("toy", ["source_dir"]), ("folder", ["class_count", "per_class"])])
 def test_dataset_from_rejects_each_key_its_source_does_not_read(pixmap_folders, source, keys):
     # source_dir beside kind = tiny selects the folder source, so only toy rejects it
-    data = {**{k: v.format(**pixmap_folders) for k, v in SOURCE_DATA[source].items()},
+    data = {**{k: v.format(**pixmap_folders) for k, v in SOURCE_RUNS[source][1].items()},
             **dict.fromkeys(keys, "3")}
     with pytest.raises(cli.CliError, match=f"^the {source} data source does not read "
                                            f"\\[data\\] {', '.join(keys)}$") as excinfo:
@@ -720,19 +728,6 @@ def built_dataset(tmp_path, monkeypatch, command, data):
         return built[-1]
     assert code != 0 and not out.exists()
     return None
-
-
-# Each cli.DATA_SOURCES source: the command that builds it, a base [data]
-# section and, for each key the source reads and for kind, a valid value other
-# than the base's or the default. "{folder}" and "{other}" name the pixmap folders.
-SOURCE_RUNS = {
-    "toy": ("train-toy", {},
-            {"kind": "tiny", "seed": "3", "cluster_count": "3", "points_per_cluster": "20"}),
-    "tiny": ("train-image", {"kind": "tiny", "per_class": "20", "size": "8"},
-             {"kind": "toy", "seed": "3", "size": "6", "class_count": "3", "per_class": "21"}),
-    "folder": ("train-image", {"kind": "tiny", "source_dir": "{folder}"},
-               {"kind": "toy", "seed": "3", "source_dir": "{other}"}),
-}
 
 
 @pytest.mark.parametrize("source, key", [
